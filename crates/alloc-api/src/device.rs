@@ -1,5 +1,5 @@
 //! The concurrent allocator front-end: a cloneable, `Send + Sync`
-//! [`DeviceAllocator`] that wraps any [`AllocatorCore`] and shards small
+//! [`DeviceAllocator`] that wraps any [`AllocatorCore`] and keeps warm
 //! allocation traffic away from the core's mutex.
 //!
 //! # Why a front-end?
@@ -7,22 +7,23 @@
 //! GMLake's promise is that defragmentation stays off the training critical
 //! path — but a shared pool whose every operation funnels through one mutex
 //! re-serializes the ranks at the allocator instead. The front-end splits
-//! the traffic the way PyTorch's stream-aware caching allocator does:
+//! the traffic the way PyTorch's stream-aware caching allocator does. Both
+//! routes below are served by the same lock-guarded cache type, a *bank*
+//! (free lists, live table, pending ring, counters), and differ only in the
+//! reuse key and the cap rule:
 //!
 //! * **Small requests** (below the stitch threshold, 2 MiB by default) are
-//!   served from N sharded per-size-class free-list caches, each guarded by
-//!   its own lock. A request's size class picks its shard; the shard holds
-//!   the class's free list, the live table of the ids it minted, and the
-//!   statistics counters, so a warm allocate/deallocate pair costs exactly
-//!   one short shard-lock acquisition each — threads working on different
-//!   size classes never contend, and none of them ever waits behind stitch
-//!   work.
+//!   served from N size-class shards, each its own bank behind its own
+//!   lock. A request's size class picks its shard and is its reuse key, so
+//!   a warm allocate/deallocate pair costs exactly one short shard-lock
+//!   acquisition each — threads working on different size classes never
+//!   contend, and none of them ever waits behind stitch work.
 //! * **Large / stitch requests** (at or above the threshold — the traffic
-//!   GMLake exists for) are served from one *large bank* per stream: an
-//!   exact-size, exact-stream hit costs one bank-lock acquisition, misses
-//!   optimistically re-scan the bank while the core's commit-time mutex is
-//!   contended, and cross-stream large frees take the same event guard as
-//!   the small shards (see [`DeviceAllocatorConfig::max_cached_large_per_bank`]).
+//!   GMLake exists for) are served from one *large bank* per stream, keyed
+//!   by exact requested size: an exact-size, exact-stream hit costs one
+//!   bank-lock acquisition, and misses optimistically re-scan the bank
+//!   while the core's commit-time mutex is contended (see
+//!   [`DeviceAllocatorConfig::max_cached_large_per_bank`]).
 //! * **Cold misses** on either route fall back to the wrapped core behind
 //!   a single mutex — the commit-time lock under which splits and stitches
 //!   commit transactionally.
@@ -31,14 +32,15 @@
 //!
 //! On top of the size-class sharding, the front-end partitions its cache by
 //! **logical GPU stream** ([`StreamId`]): the shard array is organized as
-//! one *bank* of size-class shards per configured stream
+//! one *stream bank* of size-class shards per configured stream
 //! ([`DeviceAllocatorConfig::streams`], default 1), and
 //! [`DeviceAllocator::alloc_on_stream`] routes a request to its stream's
-//! bank. Warm allocations on different streams therefore never touch the
-//! same lock — not even for identical sizes — which is what keeps
-//! independent GPU streams from serializing at the allocator.
+//! shards (or its stream's large bank). Warm allocations on different
+//! streams therefore never touch the same lock — not even for identical
+//! sizes — which is what keeps independent GPU streams from serializing at
+//! the allocator.
 //!
-//! Reuse follows PyTorch's event-guarded rule:
+//! Reuse follows PyTorch's event-guarded rule, on both routes:
 //!
 //! * a free issued on the **same stream** the block was allocated on parks
 //!   the block in that stream's free list for immediate reuse (stream order
@@ -46,12 +48,12 @@
 //! * a **cross-stream** free ([`DeviceAllocator::free_on_stream`] with a
 //!   different stream than the allocating one) never lands in a free list
 //!   directly. When the front-end was built with an [`EventSource`]
-//!   (see [`DeviceAllocator::with_config_and_events`]), the free **records
-//!   an event on the freeing stream** and parks the block in the owning
-//!   shard's *pending ring*; the allocation path and
+//!   (see [`DeviceAllocatorBuilder::events`]), the free **records an event
+//!   on the freeing stream** and parks the block in the owning bank's
+//!   *pending ring*; the allocation path and
 //!   [`DeviceAllocator::process_events`] promote blocks whose events have
 //!   completed back into the owning stream's free list — so a completed
-//!   cross-stream block is reusable with one shard-lock acquisition instead
+//!   cross-stream block is reusable with one bank-lock acquisition instead
 //!   of a core-mutex round trip. Without an event source (the default), the
 //!   block is returned to the core, the conservative pre-event rule: it can
 //!   only come back to *any* stream through the core mutex, a full
@@ -59,21 +61,21 @@
 //!
 //! Both halves of the rule compare **exact** [`StreamId`]s: every parked
 //! block carries the stream that parked it, so even when distinct stream
-//! ids fold onto the same bank (ids at or above the configured stream
-//! count), an allocation only reuses a block its own stream parked —
+//! ids fold onto the same stream bank (ids at or above the configured
+//! stream count), an allocation only reuses a block its own stream parked —
 //! another stream's block in the shared free list is simply skipped.
 //!
 //! [`DeviceAllocator::allocate`] / [`DeviceAllocator::deallocate`] are the
 //! stream-oblivious entry points: they run on [`StreamId::DEFAULT`], so
 //! single-stream callers see exactly the pre-stream behaviour (and pay no
-//! extra cost — one bank is the PR 3 layout).
+//! extra cost — one stream bank is the PR 3 layout).
 //!
-//! Front-end ids encode their shard in the low bits (and live in the upper
+//! Front-end ids encode their bank in the low bits (and live in the upper
 //! half of the id space, disjoint from every core's sequential ids), so a
-//! deallocation routes back to the owning shard — and thereby the owning
-//! stream's bank — without any shared lookup.
+//! deallocation routes back to the owning bank — and thereby the owning
+//! stream — without any shared lookup.
 //!
-//! The cache is transparent: blocks parked in a shard remain "live" from
+//! The cache is transparent: blocks parked in a bank remain "live" from
 //! the core's perspective and are returned to it by [`DeviceAllocator::flush`]
 //! (which [`DeviceAllocator::release_cached`], [`DeviceAllocator::compact`],
 //! and the out-of-memory retry path run automatically), so defragmentation
@@ -141,7 +143,7 @@ use crate::types::{mib, AllocationId, EventId, StreamId, VirtAddr};
 const FRONT_ID_BASE: u64 = 1 << 63;
 
 /// Marks a front-end id as minted by the *large* route (the per-stream
-/// large banks) rather than a small-path shard. Small ids never reach this
+/// large banks) rather than a small-route shard. Small ids never reach this
 /// bit (`next_seq << shard_bits` stays far below 2^62), so the three id
 /// spaces — core-sequential, front-end small, front-end large — are
 /// disjoint and a free routes without any shared lookup.
@@ -155,13 +157,13 @@ const MIN_CLASS: u64 = 512;
 /// power-of-two round-up at construction can never overflow.
 pub const MAX_STREAMS: usize = 1 << 10;
 
-/// Upper bound on [`DeviceAllocatorConfig::shards`] per bank (1024). With
+/// Upper bound on [`DeviceAllocatorConfig::shards`] per stream (1024). With
 /// [`MAX_STREAMS`] this caps the shard array at 2^20 entries, keeping the
-/// `banks * shards` product far from overflow.
+/// `streams * shards` product far from overflow.
 pub const MAX_SHARDS: usize = 1 << 10;
 
-/// Multiply-shift hasher for the shard maps: every key is a `u64` (size
-/// class or front-end id), so a single multiply + xor-shift beats the
+/// Multiply-shift hasher for the bank maps: every key is a `u64` (reuse
+/// key or front-end id), so a single multiply + xor-shift beats the
 /// default SipHash by a wide margin on the hot path.
 #[derive(Default)]
 struct U64MixHasher(u64);
@@ -192,26 +194,27 @@ type U64Map<V> = HashMap<u64, V, BuildHasherDefault<U64MixHasher>>;
 /// Tuning knobs of the [`DeviceAllocator`] front-end.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeviceAllocatorConfig {
-    /// Requests strictly below this size take the sharded fast path
+    /// Requests strictly below this size take the sharded small route
     /// (default: 2 MiB, GMLake's stitch threshold — everything the stitching
-    /// machinery would not touch anyway). `0` disables the fast path
-    /// entirely, degenerating to the single-mutex behaviour of the old
-    /// `SharedAllocator`; benches use this as the contention baseline.
+    /// machinery would not touch anyway). `0` disables both front-end
+    /// routes, degenerating to the single-mutex baseline: every call goes
+    /// through the core mutex and hands out core ids. Benches use this as
+    /// the contention baseline.
     pub small_threshold: u64,
-    /// Number of cache shards *per stream bank* (rounded up to a power of
-    /// two, default 16).
+    /// Number of cache shards *per stream* (rounded up to a power of two,
+    /// default 16).
     ///
     /// Must be in `1..=MAX_SHARDS`: [`DeviceAllocatorConfig::validate`]
-    /// rejects values outside the range (surfaced by the `try_*`
-    /// constructors as [`AllocError::InvalidConfig`]); the infallible
-    /// constructors clamp via [`DeviceAllocatorConfig::normalized`].
+    /// rejects values outside the range (surfaced by
+    /// [`DeviceAllocatorBuilder::build`] as [`AllocError::InvalidConfig`]);
+    /// [`DeviceAllocatorConfig::normalized`] clamps them instead.
     pub shards: usize,
     /// Maximum cached blocks per size class; overflowing frees go straight
     /// back to the core (default 64).
     pub max_cached_per_class: usize,
-    /// Capacity of each shard's pending event ring (default 64) — the
+    /// Capacity of each bank's pending event ring (default 64) — the
     /// cross-stream-freed blocks that may wait on event completion per
-    /// shard, **across all of the shard's size classes** (a coarser
+    /// shard (or large bank), **across all of its sizes** (a coarser
     /// granularity than `max_cached_per_class`, which is per class).
     /// A full ring sends further cross-stream frees through the core
     /// fallback; `0` disables event parking entirely, restoring the
@@ -219,39 +222,36 @@ pub struct DeviceAllocatorConfig {
     /// [`EventSource`](crate::EventSource) is configured.
     pub pending_ring_cap: usize,
     /// Number of logical GPU streams to partition the cache for (rounded up
-    /// to a power of two, default 1). Each stream gets its own bank of
-    /// `shards` size-class shards, so warm allocations on different streams
-    /// never share a lock. Stream ids at or above the configured count fold
-    /// onto the existing banks (placement only: folded streams share locks
-    /// and free lists, but every parked block is tagged with the exact
-    /// [`StreamId`] that parked it, and both reuse and the cross-stream
-    /// free guard compare exact ids — a folded stream never receives
-    /// another stream's block except through the core mutex).
+    /// to a power of two, default 1). Each stream gets its own `shards`
+    /// size-class shards and its own large bank, so warm allocations on
+    /// different streams never share a lock. Stream ids at or above the
+    /// configured count fold onto the existing stream banks (placement
+    /// only: folded streams share locks and free lists, but every parked
+    /// block is tagged with the exact [`StreamId`] that parked it, and both
+    /// reuse and the cross-stream free guard compare exact ids — a folded
+    /// stream never receives another stream's block except through the core
+    /// mutex).
     ///
     /// Must be in `1..=MAX_STREAMS` (stream 0 is the default stream):
     /// [`DeviceAllocatorConfig::validate`] rejects values outside the
-    /// range, and the fallible constructors
-    /// ([`DeviceAllocator::try_with_config`],
-    /// [`DeviceAllocator::try_from_boxed`]) surface that as
-    /// [`AllocError::InvalidConfig`] instead of panicking; the infallible
-    /// constructors clamp via [`DeviceAllocatorConfig::normalized`].
+    /// range, and [`DeviceAllocatorBuilder::build`] surfaces that as
+    /// [`AllocError::InvalidConfig`] instead of panicking;
+    /// [`DeviceAllocatorConfig::normalized`] clamps them instead.
     pub streams: usize,
-    /// Maximum blocks cached per *stream bank* on the large route (default
-    /// 32). Requests at or above `small_threshold` are served from a
-    /// per-stream large bank: an exact-size, exact-stream hit costs one
-    /// bank-lock acquisition and never touches the core mutex, and a
-    /// same-stream free parks its block in the bank up to this cap.
-    /// Unlike `max_cached_per_class` this cap is per bank across all sizes
-    /// (large sizes are few and big — a handful of parked multi-MiB blocks
-    /// is already a lot of memory).
+    /// Maximum blocks cached per *stream's large bank* (default 32).
+    /// Requests at or above `small_threshold` are served from a per-stream
+    /// large bank: an exact-size, exact-stream hit costs one bank-lock
+    /// acquisition and never touches the core mutex, and a same-stream free
+    /// parks its block in the bank up to this cap. Unlike
+    /// `max_cached_per_class` this cap is per bank across all sizes (large
+    /// sizes are few and big — a handful of parked multi-MiB blocks is
+    /// already a lot of memory).
     ///
-    /// `0` disables the large route entirely: every large allocation and
-    /// free goes through the core mutex (the pre-PR 9 behaviour, and the
-    /// single-mutex baseline `bench_pr9` compares against). Note
-    /// `small_threshold == 0` also bypasses the large banks — that knob
-    /// documents itself as degenerating to the single-mutex
-    /// `SharedAllocator`, and the large cache would silently break that
-    /// contract for the benches built on it.
+    /// `0` disables the large route: every large allocation and free goes
+    /// through the core mutex — the single-mutex baseline for large
+    /// traffic that `bench_pr9` compares against. `small_threshold == 0`
+    /// disables the large route too, so that knob stays a full single-mutex
+    /// baseline for the benches built on it.
     pub max_cached_large_per_bank: usize,
 }
 
@@ -279,8 +279,8 @@ impl DeviceAllocatorConfig {
     /// Sets the shard count (rounded up to a power of two at construction;
     /// see [`DeviceAllocatorConfig::shards`]). Values outside
     /// `1..=MAX_SHARDS` are invalid and are reported by
-    /// [`DeviceAllocatorConfig::validate`] / the `try_*` constructors as
-    /// [`AllocError::InvalidConfig`] — never a panic.
+    /// [`DeviceAllocatorConfig::validate`] / [`DeviceAllocatorBuilder::build`]
+    /// as [`AllocError::InvalidConfig`] — never a panic.
     #[must_use]
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards;
@@ -294,7 +294,7 @@ impl DeviceAllocatorConfig {
         self
     }
 
-    /// Sets the per-shard pending event ring capacity (`0` disables event
+    /// Sets the per-bank pending event ring capacity (`0` disables event
     /// parking; see [`DeviceAllocatorConfig::pending_ring_cap`]).
     #[must_use]
     pub fn with_pending_ring_cap(mut self, cap: usize) -> Self {
@@ -305,8 +305,8 @@ impl DeviceAllocatorConfig {
     /// Sets the stream count (rounded up to a power of two at construction;
     /// see [`DeviceAllocatorConfig::streams`]). Values outside
     /// `1..=MAX_STREAMS` are invalid and are reported by
-    /// [`DeviceAllocatorConfig::validate`] / the `try_*` constructors as
-    /// [`AllocError::InvalidConfig`] — never a panic.
+    /// [`DeviceAllocatorConfig::validate`] / [`DeviceAllocatorBuilder::build`]
+    /// as [`AllocError::InvalidConfig`] — never a panic.
     #[must_use]
     pub fn with_streams(mut self, streams: usize) -> Self {
         self.streams = streams;
@@ -326,15 +326,15 @@ impl DeviceAllocatorConfig {
     ///
     /// Every check here must have a repair in
     /// [`DeviceAllocatorConfig::normalized`] — the two functions are the
-    /// strict and the forgiving face of the same rules, and the infallible
-    /// constructors rely on `normalized()` output always validating.
+    /// strict and the forgiving face of the same rules, and callers that
+    /// clamp rely on `normalized()` output always validating.
     ///
     /// # Errors
     ///
     /// [`AllocError::InvalidConfig`] if `streams` is 0 (there is always at
     /// least the default stream) or above [`MAX_STREAMS`], or if `shards`
-    /// is 0 (every bank needs a shard) or above [`MAX_SHARDS`]. The upper
-    /// bounds keep the power-of-two round-up and the `banks * shards`
+    /// is 0 (every stream needs a shard) or above [`MAX_SHARDS`]. The upper
+    /// bounds keep the power-of-two round-up and the `streams * shards`
     /// product at construction from overflowing — out-of-range values are
     /// an error here, never a panic.
     pub fn validate(&self) -> Result<(), AllocError> {
@@ -366,9 +366,8 @@ impl DeviceAllocatorConfig {
     /// Repairs every value [`DeviceAllocatorConfig::validate`] would
     /// reject (currently: `streams` and `shards` are clamped into
     /// `1..=MAX_STREAMS` / `1..=MAX_SHARDS`), so the result always
-    /// validates. This is what the infallible constructors
-    /// ([`DeviceAllocator::with_config`] / [`DeviceAllocator::from_boxed`])
-    /// apply instead of erroring.
+    /// validates. Pass its output to [`DeviceAllocatorBuilder::config`] to
+    /// clamp instead of erroring.
     #[must_use]
     pub fn normalized(mut self) -> Self {
         self.streams = self.streams.clamp(1, MAX_STREAMS);
@@ -377,7 +376,7 @@ impl DeviceAllocatorConfig {
     }
 }
 
-/// A core allocation parked in (or in flight between) the shard caches.
+/// A core allocation parked in (or in flight between) the bank caches.
 #[derive(Debug, Clone, Copy)]
 struct CachedBlock {
     /// The id the wrapped core knows this block by.
@@ -393,24 +392,25 @@ struct CachedBlock {
     stream: StreamId,
 }
 
-/// A live small allocation handed out under a front-end id.
+/// A live allocation handed out under a front-end id.
 #[derive(Debug, Clone, Copy)]
-struct LiveSmall {
+struct LiveBlock {
     block: CachedBlock,
-    /// Size class of the original request — the free-list key the block
-    /// returns to on deallocation.
-    class: u64,
+    /// The reuse key the block returns to on deallocation: the size class
+    /// on the small route, the exact requested size on the large route
+    /// (no class rounding above the stitch threshold).
+    key: u64,
 }
 
-/// A cross-stream-freed block waiting in a shard's pending ring for its
+/// A cross-stream-freed block waiting in a bank's pending ring for its
 /// event to complete before it may re-enter the owning stream's free list.
 #[derive(Debug, Clone, Copy)]
 struct PendingBlock {
     /// The parked block; `block.stream` is still the *owning* (allocating)
     /// stream — the only stream allowed to reuse it after promotion.
     block: CachedBlock,
-    /// Free-list key the block is promoted under.
-    class: u64,
+    /// Reuse key the block is promoted under.
+    key: u64,
     /// Event recorded on the *freeing* stream at free time: once it
     /// completes, that stream's in-flight work is done with the block.
     event: EventId,
@@ -420,139 +420,39 @@ struct PendingBlock {
     freed_from: StreamId,
 }
 
-/// A live large allocation handed out under a front-end large id.
+/// How many blocks a [`Bank`] may park — the one cache rule the two routes
+/// do not share.
 #[derive(Debug, Clone, Copy)]
-struct LiveLarge {
-    block: CachedBlock,
-    /// The exact bytes the caller asked for — the free-list key the block
-    /// returns to on deallocation. The large route reuses only on exact
-    /// requested size (no class rounding above the stitch threshold), so
-    /// the core's `requested` ledger needs no inflation correction.
-    requested: u64,
+enum Cap {
+    /// Small route: at most this many blocks per size class. A same-stream
+    /// free at the cap evicts a block a folded stream parked, so an idle
+    /// foreign stream cannot wedge the warm path of the streams sharing the
+    /// shard.
+    PerClass(usize),
+    /// Large route: at most this many blocks across the whole bank, and a
+    /// cross-stream free only enters the pending ring while the bank has
+    /// room.
+    PerBank(usize),
 }
 
-/// A cross-stream-freed *large* block waiting in its bank's pending ring
-/// for the freeing stream's event to complete (same guard as the small
-/// path's [`PendingBlock`], keyed by requested size instead of class).
-#[derive(Debug, Clone, Copy)]
-struct LargePending {
-    block: CachedBlock,
-    /// Free-list key the block is promoted under (exact requested size).
-    requested: u64,
-    event: EventId,
-    freed_from: StreamId,
-}
-
-/// One per-stream **large bank**: the front-end cache that takes warm
-/// large/stitch traffic off the core mutex. One bank per stream bank, one
-/// lock per bank — threads on different streams never share it, and a warm
-/// exact-size hit or same-stream park costs one bank-lock acquisition with
-/// zero core traffic.
-///
-/// Reuse is exact on `(requested size, StreamId)`: the stream tag is the
-/// *original* id (folded streams share a bank for placement only), and
-/// cross-stream frees go through the same event guard as the small shards
-/// (pend in the ring, or record + synchronize before the core fallback).
-///
-/// `epoch` counts free-list inserts. The allocation miss path records it,
-/// releases the bank lock, and — while the core commit lock is contended —
-/// optimistically re-scans the bank whenever the epoch moved: a concurrent
-/// free can satisfy the request more cheaply than a core split/stitch, and
-/// an unchanged epoch makes the re-check O(1).
-#[derive(Debug, Default)]
-struct LargeBank {
-    /// Free large blocks keyed by exact requested size.
-    free: U64Map<Vec<CachedBlock>>,
-    /// Front-end large id -> live allocation (this is what lets the free
-    /// path know the *allocating* stream of a large block — the
-    /// prerequisite for the cross-stream event guard).
-    live: U64Map<LiveLarge>,
-    /// Cross-stream-freed blocks waiting on event completion.
-    pending: VecDeque<LargePending>,
-    next_seq: u64,
-    stats: ShardStats,
-    /// Bumped on every free-list insert; see the type docs.
-    epoch: u64,
-}
-
-impl LargeBank {
-    /// Mints a fresh front-end large id owned by bank `index`: the bank
-    /// index rides in the low bits, [`LARGE_ID_BIT`] marks the large route,
-    /// and the top bit marks the id as front-end-minted.
-    #[inline]
-    fn mint(&mut self, index: usize, bank_bits: u32) -> u64 {
-        self.next_seq += 1;
-        FRONT_ID_BASE | LARGE_ID_BIT | (self.next_seq << bank_bits) | index as u64
-    }
-
-    /// Takes an exact-size block parked by exactly `stream`, if any.
-    /// A drained stack stays in the map: the same size is about to be
-    /// parked again on the warm cycle, and leaving the entry saves a hash
-    /// remove + re-insert per hit (drains `clear()` the map wholesale).
-    fn take(&mut self, requested: u64, stream: StreamId) -> Option<CachedBlock> {
-        let stack = self.free.get_mut(&requested)?;
-        let pos = stack.iter().rposition(|b| b.stream == stream)?;
-        let block = stack.swap_remove(pos);
-        self.stats.cached_bytes -= block.size;
-        self.stats.cached_blocks -= 1;
-        Some(block)
-    }
-
-    /// Parks `block` in the free list under `requested`, bumping the epoch.
-    fn park(&mut self, block: CachedBlock, requested: u64) {
-        self.stats.cached_bytes += block.size;
-        self.stats.cached_blocks += 1;
-        self.free.entry(requested).or_default().push(block);
-        self.epoch += 1;
-    }
-
-    /// Moves every pending block whose event has completed into its free
-    /// list; returns how many were promoted. Same FIFO-per-freeing-stream
-    /// query discipline as [`Shard::promote_completed`].
-    fn promote_completed(&mut self, events: &dyn EventSource) -> u64 {
-        let mut promoted = 0;
-        let mut stalled: Vec<StreamId> = Vec::new();
-        let mut i = 0;
-        while i < self.pending.len() {
-            let p = &self.pending[i];
-            if stalled.contains(&p.freed_from) {
-                i += 1;
-                continue;
-            }
-            if events.query(p.event) {
-                let p = self.pending.remove(i).expect("index checked");
-                self.stats.pending_bytes -= p.block.size;
-                self.stats.pending_blocks -= 1;
-                self.stats.event_promotions += 1;
-                self.park(p.block, p.requested);
-                promoted += 1;
-            } else {
-                stalled.push(p.freed_from);
-                i += 1;
-            }
-        }
-        promoted
-    }
-}
-
-/// Counters reconciling one shard's fast-path activity with the core's
-/// `MemStats`. Guarded by the shard lock, so the hot path pays no atomic
-/// read-modify-writes; [`DeviceAllocator::stats`] aggregates across shards.
+/// Counters reconciling one bank's activity with the core's `MemStats`.
+/// Guarded by the bank lock, so the hot path pays no atomic
+/// read-modify-writes; [`DeviceAllocator::stats`] aggregates across banks.
 ///
 /// A cache *hit* hands out a block the core still counts as active, and a
 /// cached *free* parks a block the core never sees freed — these counters
 /// carry the difference, so the aggregate stays exact whenever the pool is
 /// quiescent (and a faithful snapshot under concurrency).
 #[derive(Debug, Default, Clone, Copy)]
-struct ShardStats {
+struct BankStats {
     /// Allocations served from the cache (the core saw nothing).
     hits: u64,
-    /// Fast-path allocations that fell through to the core.
+    /// Front-end allocations that fell through to the core.
     misses: u64,
-    /// Frees absorbed by the fast path (the core saw nothing — yet).
+    /// Frees absorbed by the front-end (the core saw nothing — yet).
     fast_frees: u64,
     /// Core-side deallocations performed for cache maintenance (flush,
-    /// per-class overflow, and cross-stream fallbacks); each undoes the
+    /// cap overflow, and cross-stream fallbacks); each undoes the
     /// core-visible half of a free already counted in `fast_frees`.
     cache_returns: u64,
     /// Cross-stream frees that recorded an event and parked the block in
@@ -568,26 +468,26 @@ struct ShardStats {
     /// Bytes requested by cache hits (the core never saw the requests).
     requested: u64,
     /// Bytes of size-class rounding the core recorded as "requested" on
-    /// fast-path misses, subtracted back out of the aggregate.
+    /// small-route misses, subtracted back out of the aggregate (always 0
+    /// on the large route, whose reuse key is the requested size).
     requested_inflation: u64,
-    /// Bytes currently parked in this shard's free lists (active from the
+    /// Bytes currently parked in this bank's free lists (active from the
     /// core's perspective, free from the caller's).
     cached_bytes: u64,
-    /// Blocks currently parked in this shard's free lists.
+    /// Blocks currently parked in this bank's free lists.
     cached_blocks: u64,
-    /// Bytes currently waiting in this shard's pending ring (also active
+    /// Bytes currently waiting in this bank's pending ring (also active
     /// from the core's perspective, freed from the caller's — but not yet
     /// reusable).
     pending_bytes: u64,
-    /// Blocks currently waiting in this shard's pending ring.
+    /// Blocks currently waiting in this bank's pending ring.
     pending_blocks: u64,
 }
 
-impl ShardStats {
+impl BankStats {
     /// Adds `s` into `self` field-wise (the aggregation step of
-    /// [`DeviceAllocator::stats`] / [`DeviceAllocator::cache_stats`], also
-    /// used to fold the large banks' counters into the same reconciliation).
-    fn absorb(&mut self, s: &ShardStats) {
+    /// [`DeviceAllocator::stats`] / [`DeviceAllocator::cache_stats`]).
+    fn absorb(&mut self, s: &BankStats) {
         self.hits += s.hits;
         self.misses += s.misses;
         self.fast_frees += s.fast_frees;
@@ -604,35 +504,201 @@ impl ShardStats {
     }
 }
 
-/// One shard: the free lists of the size classes that hash here, the live
-/// table of the front-end ids this shard minted, its id sequence, and its
-/// statistics — everything one warm allocate or deallocate touches, behind
-/// one lock.
-#[derive(Debug, Default)]
-struct Shard {
+/// One lock-guarded front-end cache: a size-class shard of the small route
+/// or a stream's bank on the large route. Everything one warm allocate or
+/// deallocate touches lives behind its one lock: the free lists, the live
+/// table of the ids it minted, the pending ring of cross-stream frees, its
+/// id sequence, and its statistics.
+///
+/// Reuse is exact on `(key, StreamId)`: the key is the size class on the
+/// small route and the exact requested size on the large route, and the
+/// stream tag is the *original* id (folded streams share a bank for
+/// placement only). The two routes differ only in their [`Cap`].
+///
+/// `epoch` counts free-list inserts. The large route's miss path records
+/// it, releases the bank lock, and — while the core commit lock is
+/// contended — optimistically re-scans the bank whenever the epoch moved
+/// (see [`DeviceAllocator::allocate_large`]).
+#[derive(Debug)]
+struct Bank {
+    /// Free blocks keyed by reuse key.
     free: U64Map<Vec<CachedBlock>>,
-    live: U64Map<LiveSmall>,
+    /// Front-end id -> live allocation (this is what lets the free path
+    /// know the *allocating* stream of a block — the prerequisite for the
+    /// cross-stream event guard).
+    live: U64Map<LiveBlock>,
     /// Cross-stream-freed blocks waiting for their event to complete (in
     /// record order — within one freeing stream, completion is FIFO).
     pending: VecDeque<PendingBlock>,
+    /// The fixed bits of every id minted here: [`FRONT_ID_BASE`], the
+    /// route's [`LARGE_ID_BIT`] (or none), and this bank's index in its
+    /// route — the low bits a free routes back by.
+    id_base: u64,
+    /// Bits the id sequence is shifted past (log2 of the route's bank count).
+    seq_shift: u32,
     next_seq: u64,
-    stats: ShardStats,
+    cap: Cap,
+    stats: BankStats,
+    epoch: u64,
 }
 
-impl Shard {
-    /// Mints a fresh front-end id owned by shard `index`: the shard index
-    /// rides in the low bits (so deallocation routes back here without any
-    /// shared lookup) and the top bit marks the id as front-end-minted.
-    #[inline]
-    fn mint(&mut self, index: usize, shard_bits: u32) -> u64 {
-        self.next_seq += 1;
-        FRONT_ID_BASE | (self.next_seq << shard_bits) | index as u64
+// The warm-path methods below are `#[inline(always)]`: left to the
+// inliner they stayed out of line, and a warm alloc/free pair measured
+// ~25% slower than with the same code written inline (single thread, 2-core
+// x86-64 host).
+impl Bank {
+    fn new(id_base: u64, seq_shift: u32, cap: Cap) -> Self {
+        Bank {
+            free: U64Map::default(),
+            live: U64Map::default(),
+            pending: VecDeque::new(),
+            id_base,
+            seq_shift,
+            next_seq: 0,
+            cap,
+            stats: BankStats::default(),
+            epoch: 0,
+        }
     }
 
-    /// Moves every pending block whose event has completed into its class
-    /// free list; returns how many were promoted. Called under the shard
-    /// lock; `events` is a lock-order leaf (see the [`EventSource`]
-    /// ordering contract), so querying while holding the lock is safe.
+    /// Mints a fresh front-end id owned by this bank.
+    #[inline]
+    fn mint(&mut self) -> u64 {
+        self.next_seq += 1;
+        self.id_base | (self.next_seq << self.seq_shift)
+    }
+
+    /// Takes a block parked under `key` by exactly `stream`, if any.
+    /// Scanning from the back keeps the common case (every entry is this
+    /// stream's) at plain-pop cost; mixed stacks only exist when stream ids
+    /// fold onto one bank. A drained stack stays in the map: the same key
+    /// is about to be parked again on the warm cycle, and leaving the entry
+    /// saves a hash remove + re-insert per hit.
+    #[inline(always)]
+    fn take(&mut self, key: u64, stream: StreamId) -> Option<CachedBlock> {
+        let stack = self.free.get_mut(&key)?;
+        let pos = stack.iter().rposition(|b| b.stream == stream)?;
+        let block = stack.swap_remove(pos);
+        self.stats.cached_bytes -= block.size;
+        self.stats.cached_blocks -= 1;
+        Some(block)
+    }
+
+    /// Serves `requested` bytes from a block parked under `key` by exactly
+    /// `stream`: [`Bank::take`], and when the free list comes up empty,
+    /// promotes the pending blocks whose events completed and looks again —
+    /// still one bank-lock acquisition, no core mutex. A hit is booked
+    /// (counters, a fresh front-end id, the live entry); a miss is not.
+    #[inline(always)]
+    fn hit(
+        &mut self,
+        key: u64,
+        requested: u64,
+        stream: StreamId,
+        events: Option<&dyn EventSource>,
+        tel: Option<&PoolTelemetry>,
+    ) -> Option<Allocation> {
+        let mut block = self.take(key, stream);
+        if block.is_none() && !self.pending.is_empty() {
+            if let Some(events) = events {
+                if self.promote_completed(events) > 0 {
+                    block = self.take(key, stream);
+                }
+            }
+        }
+        let block = block?;
+        self.stats.hits += 1;
+        self.stats.requested += requested;
+        if let Some(t) = tel {
+            t.record(EventKind::ShardHit, key, stream.as_u32() as u64, 0);
+        }
+        Some(self.adopt(block, key, requested))
+    }
+
+    /// Hands out `block` under a fresh front-end id and records it live.
+    #[inline(always)]
+    fn adopt(&mut self, block: CachedBlock, key: u64, requested: u64) -> Allocation {
+        let id = self.mint();
+        self.live.insert(id, LiveBlock { block, key });
+        Allocation {
+            id: AllocationId::new(id),
+            va: block.va,
+            size: block.size,
+            requested,
+        }
+    }
+
+    /// Parks `block` in the free list under `key`, bumping the epoch.
+    #[inline(always)]
+    fn park(&mut self, block: CachedBlock, key: u64) {
+        self.stats.cached_bytes += block.size;
+        self.stats.cached_blocks += 1;
+        self.free.entry(key).or_default().push(block);
+        self.epoch += 1;
+    }
+
+    /// Parks `block` under `key` if the cap leaves room; returns whether
+    /// it did. One map lookup on either route.
+    #[inline(always)]
+    fn try_park(&mut self, block: CachedBlock, key: u64) -> bool {
+        let stack = match self.cap {
+            Cap::PerClass(max) => {
+                let stack = self.free.entry(key).or_default();
+                if stack.len() >= max {
+                    return false;
+                }
+                stack
+            }
+            Cap::PerBank(max) => {
+                if self.stats.cached_blocks as usize >= max {
+                    return false;
+                }
+                self.free.entry(key).or_default()
+            }
+        };
+        stack.push(block);
+        self.stats.cached_bytes += block.size;
+        self.stats.cached_blocks += 1;
+        self.epoch += 1;
+        true
+    }
+
+    /// Parks a same-stream free under the cap. Returns the block the core
+    /// must take back: the freed one when the cap is reached, or — on the
+    /// small route — a folded stream's block evicted to make room, since
+    /// this stream can never reuse it.
+    #[inline(always)]
+    fn park_capped(&mut self, block: CachedBlock, key: u64) -> Option<CachedBlock> {
+        if self.try_park(block, key) {
+            return None;
+        }
+        self.stats.cache_returns += 1;
+        if let (Cap::PerClass(_), Some(stack)) = (self.cap, self.free.get_mut(&key)) {
+            if let Some(pos) = stack.iter().position(|b| b.stream != block.stream) {
+                let evicted = stack.swap_remove(pos);
+                stack.push(block);
+                self.stats.cached_bytes += block.size;
+                self.stats.cached_bytes -= evicted.size;
+                return Some(evicted);
+            }
+        }
+        Some(block)
+    }
+
+    /// Whether a cross-stream free may wait in the pending ring: the ring
+    /// has room and, on the large route, so does the bank.
+    fn can_pend(&self, ring_cap: usize) -> bool {
+        self.pending.len() < ring_cap
+            && match self.cap {
+                Cap::PerClass(_) => true,
+                Cap::PerBank(max) => (self.stats.cached_blocks as usize) < max,
+            }
+    }
+
+    /// Moves every pending block whose event has completed into its free
+    /// list; returns how many were promoted. Called under the bank lock;
+    /// `events` is a lock-order leaf (see the [`EventSource`] ordering
+    /// contract), so querying while holding the lock is safe.
     ///
     /// Events recorded from one freeing stream complete in FIFO order (the
     /// [`EventSource`] monotonicity rule), so once one entry of a stream
@@ -640,10 +706,9 @@ impl Shard {
     /// without querying — a sweep costs at most one query per *distinct*
     /// freeing stream with work in flight, not one per ring entry.
     ///
-    /// Promotion may transiently push a class list past
-    /// `max_cached_per_class`; the overshoot is bounded by the ring's own
-    /// cap and drains as the owner allocates (or at the next flush), so no
-    /// class can hoard unboundedly.
+    /// Promotion may transiently push a free list past its cap; the
+    /// overshoot is bounded by the ring's own cap and drains as the owner
+    /// allocates (or at the next flush), so no key can hoard unboundedly.
     fn promote_completed(&mut self, events: &dyn EventSource) -> u64 {
         let mut promoted = 0;
         // Freeing streams already seen incomplete this sweep (ring-bounded,
@@ -660,10 +725,8 @@ impl Shard {
                 let p = self.pending.remove(i).expect("index checked");
                 self.stats.pending_bytes -= p.block.size;
                 self.stats.pending_blocks -= 1;
-                self.stats.cached_bytes += p.block.size;
-                self.stats.cached_blocks += 1;
                 self.stats.event_promotions += 1;
-                self.free.entry(p.class).or_default().push(p.block);
+                self.park(p.block, p.key);
                 promoted += 1;
             } else {
                 stalled.push(p.freed_from);
@@ -672,26 +735,52 @@ impl Shard {
         }
         promoted
     }
+
+    /// Empties the free lists and the pending ring into `blocks` (and the
+    /// pending blocks' events into `events`), counting every block as a
+    /// cache return. The large route's keys are exact requested sizes — an
+    /// unbounded key space — so its drains also forget the keys; the small
+    /// route's few size classes stay mapped.
+    fn drain_into(&mut self, blocks: &mut Vec<CachedBlock>, events: &mut Vec<EventId>) {
+        for stack in self.free.values_mut() {
+            for block in stack.iter() {
+                self.stats.cache_returns += 1;
+                self.stats.cached_bytes -= block.size;
+                self.stats.cached_blocks -= 1;
+            }
+            blocks.append(stack);
+        }
+        if let Cap::PerBank(_) = self.cap {
+            self.free.clear();
+        }
+        while let Some(p) = self.pending.pop_front() {
+            self.stats.cache_returns += 1;
+            self.stats.pending_bytes -= p.block.size;
+            self.stats.pending_blocks -= 1;
+            events.push(p.event);
+            blocks.push(p.block);
+        }
+    }
 }
 
 /// Point-in-time cache telemetry (see [`DeviceAllocator::cache_stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeviceCacheStats {
-    /// Fast-path allocations served without touching the core mutex.
+    /// Front-end allocations served without touching the core mutex.
     pub hits: u64,
-    /// Fast-path allocations that fell through to the core.
+    /// Front-end allocations that fell through to the core.
     pub misses: u64,
-    /// Bytes currently parked in the shard free lists.
+    /// Bytes currently parked in the free lists.
     pub cached_bytes: u64,
-    /// Blocks currently parked in the shard free lists.
+    /// Blocks currently parked in the free lists.
     pub cached_blocks: u64,
     /// Cross-stream frees that recorded an event and parked the block in a
     /// pending ring — the event-guarded fast path, which touched no core
     /// state (requires an [`EventSource`]; see
-    /// [`DeviceAllocator::with_config_and_events`]).
+    /// [`DeviceAllocatorBuilder::events`]).
     pub cross_stream_parked: u64,
     /// Cross-stream frees conservatively returned to the core: no event
-    /// source is configured, or the owning shard's pending ring was full.
+    /// source is configured, or the owning bank's pending ring was full.
     /// (Before the event subsystem, *every* cross-stream free took this
     /// path — the counter formerly named `cross_stream_returns`.)
     pub cross_stream_fallback: u64,
@@ -703,9 +792,10 @@ pub struct DeviceCacheStats {
     /// Pending blocks promoted to a free list after their event completed
     /// (cumulative).
     pub event_promotions: u64,
-    /// Number of cache shards (across all stream banks).
+    /// Number of cache shards (across all streams), or of large banks in
+    /// [`DeviceAllocator::large_cache_stats`].
     pub shards: usize,
-    /// Number of per-stream shard banks.
+    /// Number of per-stream banks.
     pub streams: usize,
 }
 
@@ -714,31 +804,27 @@ struct Inner {
     /// Backend name, captured at construction so `name()` never locks.
     name: &'static str,
     small_threshold: u64,
-    max_cached_per_class: usize,
-    /// Per-shard pending event ring capacity (0 = event parking disabled).
+    /// Per-bank pending event ring capacity (0 = event parking disabled).
     pending_ring_cap: usize,
-    /// Number of per-stream shard banks (power of two).
+    /// Number of per-stream banks (power of two).
     stream_banks: usize,
-    /// Size-class shards per bank (power of two); the `shards` slice holds
-    /// `stream_banks * class_shards` entries, bank-major.
+    /// Size-class shards per stream (power of two); the `shards` slice
+    /// holds `stream_banks * class_shards` entries, stream-major.
     class_shards: usize,
-    /// Mask of the class-shard index within one bank (`class_shards - 1`).
+    /// Mask of the class-shard index within one stream (`class_shards - 1`).
     class_mask: u64,
-    /// Mask of the *global* shard index — the low bits of a front-end id
-    /// (`stream_banks * class_shards - 1`).
-    shard_mask: u64,
-    shard_bits: u32,
-    shards: Box<[Mutex<Shard>]>,
-    /// Per-bank cap of the large route (0 = large route disabled).
-    max_cached_large_per_bank: usize,
-    /// Bits the large-id sequence is shifted past (`log2(stream_banks)`).
-    bank_bits: u32,
-    /// One large bank per stream bank (see [`LargeBank`]).
-    large_banks: Box<[Mutex<LargeBank>]>,
+    /// The small route's size-class shards; a small id's low bits index it.
+    shards: Box<[Mutex<Bank>]>,
+    /// Whether requests at or above `small_threshold` take the large route
+    /// (`small_threshold > 0` and `max_cached_large_per_bank > 0`).
+    large_route: bool,
+    /// The large route's banks, one per stream; a large id's low bits
+    /// index it.
+    large: Box<[Mutex<Bank>]>,
     /// Stream-completion event source backing the cross-stream reuse fast
     /// path; `None` keeps the conservative free-through-the-core rule.
     events: Option<Arc<dyn EventSource>>,
-    /// Optional observability sink: sampled alloc/free latencies and shard
+    /// Optional observability sink: sampled alloc/free latencies and bank
     /// hit/miss/park/promote trace records. `None` costs one branch.
     telemetry: Option<Arc<PoolTelemetry>>,
 }
@@ -750,6 +836,8 @@ struct Inner {
 /// This is the only type the runtime, the workload replayers, the examples,
 /// and the benches speak to when a pool is shared between threads; the
 /// wrapped [`AllocatorCore`] stays single-owner behind the front-end.
+/// Build one with [`DeviceAllocator::new`] (default configuration) or
+/// [`DeviceAllocator::builder`].
 ///
 /// `DeviceAllocator` also implements [`AllocatorCore`] itself (delegating to
 /// the `&self` methods), so trait-generic code such as the sequential
@@ -769,6 +857,95 @@ impl std::fmt::Debug for DeviceAllocator {
     }
 }
 
+/// Builder of a [`DeviceAllocator`] with a non-default configuration, an
+/// [`EventSource`], or a [`PoolTelemetry`] sink (see
+/// [`DeviceAllocator::builder`]).
+#[derive(Default)]
+#[must_use]
+pub struct DeviceAllocatorBuilder {
+    config: DeviceAllocatorConfig,
+    events: Option<Arc<dyn EventSource>>,
+    telemetry: Option<Arc<PoolTelemetry>>,
+}
+
+impl DeviceAllocatorBuilder {
+    /// Sets the front-end configuration (default:
+    /// [`DeviceAllocatorConfig::default`]). [`DeviceAllocatorBuilder::build`]
+    /// rejects invalid values; pass [`DeviceAllocatorConfig::normalized`]
+    /// output to clamp them instead.
+    pub fn config(mut self, config: DeviceAllocatorConfig) -> Self {
+        self.config = config;
+        self
+    }
+
+    /// Attaches a stream-completion [`EventSource`], enabling the
+    /// event-guarded cross-stream reuse fast path: a cross-stream free
+    /// records an event and parks the block in a pending ring instead of
+    /// round-tripping through the core mutex (see
+    /// `docs/streams-and-events.md` and [`DeviceAllocator::process_events`]).
+    /// Without one, cross-stream frees take the conservative
+    /// free-through-the-core rule.
+    ///
+    /// The source must uphold the [`EventSource`] ordering contract — in
+    /// particular it must never call back into this allocator. When the
+    /// wrapped core sits on a simulated device, pass a clone of the same
+    /// `CudaDriver` so event completion rides the device's clock and
+    /// per-stream frontiers.
+    pub fn events(mut self, events: Arc<dyn EventSource>) -> Self {
+        self.events = Some(events);
+        self
+    }
+
+    /// Attaches a [`PoolTelemetry`] sink fed by the alloc/free fast paths
+    /// (disabled sinks cost one relaxed atomic load per call; see the
+    /// `gmlake-telemetry` crate docs for the overhead model).
+    pub fn telemetry(mut self, telemetry: Arc<PoolTelemetry>) -> Self {
+        self.telemetry = Some(telemetry);
+        self
+    }
+
+    /// Wraps `core`. The core comes boxed so registries holding a
+    /// `Box<dyn AllocatorCore + Send>` hand it over without a second box.
+    ///
+    /// # Errors
+    ///
+    /// [`AllocError::InvalidConfig`] — see [`DeviceAllocatorConfig::validate`].
+    pub fn build(self, core: Box<dyn AllocatorCore + Send>) -> Result<DeviceAllocator, AllocError> {
+        let config = self.config;
+        config.validate()?;
+        let class_shards = config.shards.next_power_of_two();
+        let stream_banks = config.streams.next_power_of_two();
+        let total = stream_banks * class_shards;
+        let (shard_bits, bank_bits) = (total.trailing_zeros(), stream_banks.trailing_zeros());
+        let small_cap = Cap::PerClass(config.max_cached_per_class);
+        let large_cap = Cap::PerBank(config.max_cached_large_per_bank);
+        let name = core.name();
+        Ok(DeviceAllocator {
+            inner: Arc::new(Inner {
+                core: Mutex::new(core),
+                name,
+                small_threshold: config.small_threshold,
+                pending_ring_cap: config.pending_ring_cap,
+                stream_banks,
+                class_shards,
+                class_mask: class_shards as u64 - 1,
+                shards: (0..total)
+                    .map(|i| Mutex::new(Bank::new(FRONT_ID_BASE | i as u64, shard_bits, small_cap)))
+                    .collect(),
+                large_route: config.small_threshold > 0 && config.max_cached_large_per_bank > 0,
+                large: (0..stream_banks)
+                    .map(|i| {
+                        let id_base = FRONT_ID_BASE | LARGE_ID_BIT | i as u64;
+                        Mutex::new(Bank::new(id_base, bank_bits, large_cap))
+                    })
+                    .collect(),
+                events: self.events,
+                telemetry: self.telemetry,
+            }),
+        })
+    }
+}
+
 /// Rounds a small request up to its size class (the next power of two, at
 /// least [`MIN_CLASS`]). Classing at allocation time guarantees every cached
 /// block in a class is large enough for every request of that class.
@@ -784,154 +961,19 @@ fn class_shard_index(class: u64, mask: u64) -> usize {
 }
 
 impl DeviceAllocator {
-    /// Wraps `core` with the default [`DeviceAllocatorConfig`].
+    /// Wraps `core` with the default [`DeviceAllocatorConfig`], no event
+    /// source and no telemetry sink.
     pub fn new<A: AllocatorCore + Send + 'static>(core: A) -> Self {
-        Self::with_config(core, DeviceAllocatorConfig::default())
+        Self::builder()
+            .build(Box::new(core))
+            .expect("the default configuration is valid")
     }
 
-    /// Wraps `core` with an explicit configuration. Invalid values are
-    /// repaired via [`DeviceAllocatorConfig::normalized`] (`streams` and
-    /// `shards` are clamped into `1..=MAX_STREAMS` / `1..=MAX_SHARDS`); use
-    /// [`DeviceAllocator::try_with_config`] for strict validation.
-    pub fn with_config<A: AllocatorCore + Send + 'static>(
-        core: A,
-        config: DeviceAllocatorConfig,
-    ) -> Self {
-        Self::from_boxed(Box::new(core), config)
-    }
-
-    /// Like [`DeviceAllocator::with_config`], but rejects an invalid
-    /// configuration instead of normalizing it.
-    ///
-    /// # Errors
-    ///
-    /// [`AllocError::InvalidConfig`] — see [`DeviceAllocatorConfig::validate`].
-    pub fn try_with_config<A: AllocatorCore + Send + 'static>(
-        core: A,
-        config: DeviceAllocatorConfig,
-    ) -> Result<Self, AllocError> {
-        Self::try_from_boxed(Box::new(core), config)
-    }
-
-    /// Wraps `core` with an explicit configuration **and** a
-    /// stream-completion [`EventSource`], enabling the event-guarded
-    /// cross-stream reuse fast path: a cross-stream free records an event
-    /// and parks the block in a pending ring instead of round-tripping
-    /// through the core mutex (see `docs/streams-and-events.md` and
-    /// [`DeviceAllocator::process_events`]).
-    ///
-    /// The source must uphold the [`EventSource`] ordering contract — in
-    /// particular it must never call back into this allocator. When the
-    /// wrapped core sits on a simulated device, pass a clone of the same
-    /// `CudaDriver` so event completion rides the device's clock and
-    /// per-stream frontiers.
-    ///
-    /// Invalid configuration values are repaired via
-    /// [`DeviceAllocatorConfig::normalized`], as in
-    /// [`DeviceAllocator::with_config`].
-    pub fn with_config_and_events<A: AllocatorCore + Send + 'static>(
-        core: A,
-        config: DeviceAllocatorConfig,
-        events: Arc<dyn EventSource>,
-    ) -> Self {
-        Self::try_from_boxed_with_events(Box::new(core), config.normalized(), Some(events))
-            .expect("normalized() repairs everything validate() rejects")
-    }
-
-    /// Wraps an already-boxed core (the registry path of `gmlake-runtime`).
-    /// Invalid values are repaired via [`DeviceAllocatorConfig::normalized`]
-    /// (`streams` and `shards` are clamped into `1..=MAX_STREAMS` /
-    /// `1..=MAX_SHARDS`); use [`DeviceAllocator::try_from_boxed`] for
-    /// strict validation.
-    pub fn from_boxed(core: Box<dyn AllocatorCore + Send>, config: DeviceAllocatorConfig) -> Self {
-        Self::try_from_boxed(core, config.normalized())
-            .expect("normalized() repairs everything validate() rejects")
-    }
-
-    /// Like [`DeviceAllocator::from_boxed`], but rejects an invalid
-    /// configuration instead of normalizing it.
-    ///
-    /// # Errors
-    ///
-    /// [`AllocError::InvalidConfig`] — see [`DeviceAllocatorConfig::validate`].
-    pub fn try_from_boxed(
-        core: Box<dyn AllocatorCore + Send>,
-        config: DeviceAllocatorConfig,
-    ) -> Result<Self, AllocError> {
-        Self::try_from_boxed_with_events(core, config, None)
-    }
-
-    /// The most general constructor: an already-boxed core, a strict
-    /// configuration, and an optional [`EventSource`] enabling the
-    /// event-guarded cross-stream reuse path (see
-    /// [`DeviceAllocator::with_config_and_events`]; `None` keeps the
-    /// conservative free-through-the-core rule).
-    ///
-    /// # Errors
-    ///
-    /// [`AllocError::InvalidConfig`] — see [`DeviceAllocatorConfig::validate`].
-    pub fn try_from_boxed_with_events(
-        core: Box<dyn AllocatorCore + Send>,
-        config: DeviceAllocatorConfig,
-        events: Option<Arc<dyn EventSource>>,
-    ) -> Result<Self, AllocError> {
-        Self::try_build(core, config, events, None)
-    }
-
-    /// Wraps an already-boxed core with an attached [`PoolTelemetry`] sink
-    /// (disabled sinks cost one relaxed atomic load per call; see the
-    /// `gmlake-telemetry` crate docs for the overhead model). Invalid
-    /// configuration values are repaired via
-    /// [`DeviceAllocatorConfig::normalized`], as in
-    /// [`DeviceAllocator::from_boxed`].
-    pub fn from_boxed_with_telemetry(
-        core: Box<dyn AllocatorCore + Send>,
-        config: DeviceAllocatorConfig,
-        telemetry: Arc<PoolTelemetry>,
-    ) -> Self {
-        Self::try_build(core, config.normalized(), None, Some(telemetry))
-            .expect("normalized() repairs everything validate() rejects")
-    }
-
-    /// The most general constructor: an already-boxed core, a strict
-    /// configuration, an optional [`EventSource`] (see
-    /// [`DeviceAllocator::with_config_and_events`]), and an optional
-    /// [`PoolTelemetry`] sink fed by the alloc/free fast paths.
-    ///
-    /// # Errors
-    ///
-    /// [`AllocError::InvalidConfig`] — see [`DeviceAllocatorConfig::validate`].
-    pub fn try_build(
-        core: Box<dyn AllocatorCore + Send>,
-        config: DeviceAllocatorConfig,
-        events: Option<Arc<dyn EventSource>>,
-        telemetry: Option<Arc<PoolTelemetry>>,
-    ) -> Result<Self, AllocError> {
-        config.validate()?;
-        let class_shards = config.shards.next_power_of_two();
-        let stream_banks = config.streams.next_power_of_two();
-        let total = stream_banks * class_shards;
-        let name = core.name();
-        Ok(DeviceAllocator {
-            inner: Arc::new(Inner {
-                core: Mutex::new(core),
-                name,
-                small_threshold: config.small_threshold,
-                max_cached_per_class: config.max_cached_per_class,
-                pending_ring_cap: config.pending_ring_cap,
-                stream_banks,
-                class_shards,
-                class_mask: class_shards as u64 - 1,
-                shard_mask: total as u64 - 1,
-                shard_bits: total.trailing_zeros(),
-                shards: (0..total).map(|_| Mutex::default()).collect(),
-                max_cached_large_per_bank: config.max_cached_large_per_bank,
-                bank_bits: stream_banks.trailing_zeros(),
-                large_banks: (0..stream_banks).map(|_| Mutex::default()).collect(),
-                events,
-                telemetry,
-            }),
-        })
+    /// Starts a [`DeviceAllocatorBuilder`]: set a configuration, an
+    /// [`EventSource`] and a [`PoolTelemetry`] sink, then
+    /// [`build`](DeviceAllocatorBuilder::build) around a boxed core.
+    pub fn builder() -> DeviceAllocatorBuilder {
+        DeviceAllocatorBuilder::default()
     }
 
     /// The attached telemetry sink, if any — enable it to start recording,
@@ -940,22 +982,35 @@ impl DeviceAllocator {
         self.inner.telemetry.as_ref()
     }
 
-    /// Global shard index of `(stream, class)`: the stream's bank (stream
-    /// ids beyond the configured banks fold modulo — placement only; reuse
-    /// still compares the exact [`StreamId`] tag on each parked block),
-    /// then the class hash within the bank.
+    /// The stream bank `stream` folds onto (placement only — guard and
+    /// affinity decisions always compare the exact [`StreamId`] tag).
     #[inline]
-    fn shard_index(&self, stream: StreamId, class: u64) -> usize {
-        let bank = stream.as_u32() as usize & (self.inner.stream_banks - 1);
-        bank * self.inner.class_shards + class_shard_index(class, self.inner.class_mask)
+    fn bank_index(&self, stream: StreamId) -> usize {
+        stream.as_u32() as usize & (self.inner.stream_banks - 1)
     }
 
-    /// Allocates through the core mutex; on out-of-memory, returns the shard
+    /// Global shard index of `(stream, class)`: the stream's bank of
+    /// shards, then the class hash within it.
+    #[inline]
+    fn shard_index(&self, stream: StreamId, class: u64) -> usize {
+        self.bank_index(stream) * self.inner.class_shards
+            + class_shard_index(class, self.inner.class_mask)
+    }
+
+    /// The slice of shards serving `stream`'s small route.
+    #[inline]
+    fn stream_shards(&self, stream: StreamId) -> &[Mutex<Bank>] {
+        let n = self.inner.class_shards;
+        let first = self.bank_index(stream) * n;
+        &self.inner.shards[first..first + n]
+    }
+
+    /// Allocates through the core mutex; on out-of-memory, returns the bank
     /// caches to the core and retries once (the core's own OOM fallbacks
     /// cannot reach blocks parked in the front-end).
     ///
-    /// The retry runs even when this thread's own `flush()` found the shards
-    /// empty: a concurrent flush may have drained the shards but not yet
+    /// The retry runs even when this thread's own `flush()` found the banks
+    /// empty: a concurrent flush may have drained the banks but not yet
     /// handed its blocks to the core, and the retry — sequenced after that
     /// flush's core deallocations by the core lock — is what rescues the
     /// allocation in that window. The extra attempt only costs time on the
@@ -969,6 +1024,27 @@ impl DeviceAllocator {
         self.inner.core.lock().allocate(req)
     }
 
+    /// Books a block the core just served into `bank`. The core recorded
+    /// `key` bytes as requested; `requested_inflation` subtracts the small
+    /// route's class rounding back out (zero on the large route).
+    fn adopt_core_block(
+        bank: &Mutex<Bank>,
+        core_alloc: Allocation,
+        key: u64,
+        requested: u64,
+        stream: StreamId,
+    ) -> Allocation {
+        let block = CachedBlock {
+            core_id: core_alloc.id,
+            va: core_alloc.va,
+            size: core_alloc.size,
+            stream,
+        };
+        let mut g = bank.lock();
+        g.stats.requested_inflation += key - requested;
+        g.adopt(block, key, requested)
+    }
+
     fn allocate_small(
         &self,
         req: AllocRequest,
@@ -976,85 +1052,23 @@ impl DeviceAllocator {
         tel: Option<&PoolTelemetry>,
     ) -> Result<Allocation, AllocError> {
         let class = size_class(req.size);
-        let index = self.shard_index(stream, class);
-        let shard = &self.inner.shards[index];
+        let bank = &self.inner.shards[self.shard_index(stream, class)];
         {
-            let mut guard = shard.lock();
-            let g = &mut *guard;
-            // Only a block parked by this exact stream is a hit: distinct
-            // StreamIds folded onto the same bank share the free lists for
-            // placement, but a block must never move between streams without
-            // passing through the core. Scanning from the back keeps the
-            // common case (every entry is this stream's) at plain-pop cost;
-            // mixed stacks only exist when ids fold onto one bank.
-            let take = |g: &mut Shard| {
-                g.free.get_mut(&class).and_then(|stack| {
-                    let pos = stack.iter().rposition(|b| b.stream == stream)?;
-                    Some(stack.swap_remove(pos))
-                })
-            };
-            let mut hit = take(g);
-            if hit.is_none() && !g.pending.is_empty() {
-                // The free list came up empty, but a cross-stream-freed
-                // block may be waiting on a completed event: promote and
-                // rescan — still one shard-lock acquisition, no core mutex.
-                if let Some(events) = &self.inner.events {
-                    if g.promote_completed(&**events) > 0 {
-                        hit = take(g);
-                    }
-                }
-            }
-            if let Some(block) = hit {
-                g.stats.cached_bytes -= block.size;
-                g.stats.cached_blocks -= 1;
-                g.stats.hits += 1;
-                g.stats.requested += req.size;
-                let id = g.mint(index, self.inner.shard_bits);
-                g.live.insert(id, LiveSmall { block, class });
-                if let Some(t) = tel {
-                    t.record(EventKind::ShardHit, class, stream.as_u32() as u64, 0);
-                }
-                return Ok(Allocation {
-                    id: AllocationId::new(id),
-                    va: block.va,
-                    size: block.size,
-                    requested: req.size,
-                });
+            let mut g = bank.lock();
+            if let Some(hit) = g.hit(class, req.size, stream, self.inner.events.as_deref(), tel) {
+                return Ok(hit);
             }
             g.stats.misses += 1;
         }
-        // Miss: allocate the whole class size from the core (no shard lock
-        // held), so the block can later serve any request of the class. The
-        // core records `class` as requested; `requested_inflation` subtracts
-        // the rounding back out.
         if let Some(t) = tel {
             t.record(EventKind::ShardMiss, class, stream.as_u32() as u64, 0);
         }
+        // Miss: allocate the whole class size from the core (no shard lock
+        // held), so the block can later serve any request of the class.
         let core_alloc = self.core_allocate(AllocRequest::new(class).with_tag(req.tag))?;
-        let block = CachedBlock {
-            core_id: core_alloc.id,
-            va: core_alloc.va,
-            size: core_alloc.size,
-            stream,
-        };
-        let mut guard = shard.lock();
-        let g = &mut *guard;
-        g.stats.requested_inflation += class - req.size;
-        let id = g.mint(index, self.inner.shard_bits);
-        g.live.insert(id, LiveSmall { block, class });
-        Ok(Allocation {
-            id: AllocationId::new(id),
-            va: block.va,
-            size: block.size,
-            requested: req.size,
-        })
-    }
-
-    /// The bank index `stream` folds onto (placement only — guard and
-    /// affinity decisions always compare the exact [`StreamId`] tag).
-    #[inline]
-    fn bank_index(&self, stream: StreamId) -> usize {
-        stream.as_u32() as usize & (self.inner.stream_banks - 1)
+        Ok(Self::adopt_core_block(
+            bank, core_alloc, class, req.size, stream,
+        ))
     }
 
     /// Serves a large (at-or-above-threshold) request from `stream`'s large
@@ -1080,26 +1094,21 @@ impl DeviceAllocator {
         stream: StreamId,
         tel: Option<&PoolTelemetry>,
     ) -> Result<Allocation, AllocError> {
-        let index = self.bank_index(stream);
-        let bank = &self.inner.large_banks[index];
-        let mut epoch_seen;
-        {
-            let mut guard = bank.lock();
-            let g = &mut *guard;
-            let mut hit = g.take(req.size, stream);
-            if hit.is_none() && !g.pending.is_empty() {
-                if let Some(events) = &self.inner.events {
-                    if g.promote_completed(&**events) > 0 {
-                        hit = g.take(req.size, stream);
-                    }
-                }
-            }
-            if let Some(block) = hit {
-                return Ok(self.commit_large_hit(g, index, block, req.size, stream, tel));
+        let bank = &self.inner.large[self.bank_index(stream)];
+        let mut epoch_seen = {
+            let mut g = bank.lock();
+            if let Some(hit) = g.hit(
+                req.size,
+                req.size,
+                stream,
+                self.inner.events.as_deref(),
+                tel,
+            ) {
+                return Ok(hit);
             }
             g.stats.misses += 1;
-            epoch_seen = g.epoch;
-        }
+            g.epoch
+        };
         if let Some(t) = tel {
             t.record(EventKind::ShardMiss, req.size, stream.as_u32() as u64, 0);
         }
@@ -1112,12 +1121,14 @@ impl DeviceAllocator {
                 break core.alloc_on_stream(req, stream);
             }
             {
-                let mut guard = bank.lock();
-                let g = &mut *guard;
+                let mut g = bank.lock();
                 if g.epoch != epoch_seen {
                     epoch_seen = g.epoch;
-                    if let Some(block) = g.take(req.size, stream) {
-                        return Ok(self.commit_large_hit(g, index, block, req.size, stream, tel));
+                    // The re-scan only takes parked blocks; promoting
+                    // pending ones is left to the lookup above and to
+                    // `process_events`.
+                    if let Some(hit) = g.hit(req.size, req.size, stream, None, tel) {
+                        return Ok(hit);
                     }
                 }
             }
@@ -1126,82 +1137,37 @@ impl DeviceAllocator {
         let core_alloc = match first {
             Err(AllocError::OutOfMemory { .. }) => {
                 // Same rescue as `core_allocate`: hand every front-end
-                // cache (small shards AND large banks) back to the core and
-                // retry once behind a plain lock.
+                // cache back to the core and retry once behind a plain lock.
                 self.flush();
                 self.inner.core.lock().alloc_on_stream(req, stream)?
             }
             other => other?,
         };
         // A core-served large allocation carries the same `Alloc` event it
-        // did when the route was disabled and every large request went
+        // does when the route is disabled and every large request goes
         // straight through the core mutex.
         if let Some(t) = tel {
             t.record(EventKind::Alloc, core_alloc.size, stream.as_u32() as u64, 0);
         }
-        let block = CachedBlock {
-            core_id: core_alloc.id,
-            va: core_alloc.va,
-            size: core_alloc.size,
-            stream,
-        };
-        let mut guard = bank.lock();
-        let g = &mut *guard;
-        let id = g.mint(index, self.inner.bank_bits);
-        g.live.insert(
-            id,
-            LiveLarge {
-                block,
-                requested: req.size,
-            },
-        );
-        Ok(Allocation {
-            id: AllocationId::new(id),
-            va: block.va,
-            size: block.size,
-            requested: req.size,
-        })
-    }
-
-    /// Books a large-bank cache hit under the bank lock: counters, fresh
-    /// front-end id, live entry. (`LargeBank::take` already removed the
-    /// block from the free list and its cached counters.)
-    fn commit_large_hit(
-        &self,
-        g: &mut LargeBank,
-        index: usize,
-        block: CachedBlock,
-        requested: u64,
-        stream: StreamId,
-        tel: Option<&PoolTelemetry>,
-    ) -> Allocation {
-        g.stats.hits += 1;
-        g.stats.requested += requested;
-        let id = g.mint(index, self.inner.bank_bits);
-        g.live.insert(id, LiveLarge { block, requested });
-        if let Some(t) = tel {
-            t.record(EventKind::ShardHit, requested, stream.as_u32() as u64, 0);
-        }
-        Allocation {
-            id: AllocationId::new(id),
-            va: block.va,
-            size: block.size,
-            requested,
-        }
+        Ok(Self::adopt_core_block(
+            bank, core_alloc, req.size, req.size, stream,
+        ))
     }
 
     /// Allocates memory for `req` (see [`AllocatorCore::allocate`] for the
     /// contract) on the default stream. Small requests take the sharded
-    /// fast path; everything else goes to the wrapped core.
+    /// small route, requests at or above the threshold the default stream's
+    /// large bank; misses go to the wrapped core.
     pub fn allocate(&self, req: AllocRequest) -> Result<Allocation, AllocError> {
         self.alloc_on_stream(req, StreamId::DEFAULT)
     }
 
     /// Allocates memory for `req` on behalf of `stream`: small requests are
-    /// served from the stream's own bank of size-class shards, so warm
-    /// allocations on different streams never contend on a lock. Large
-    /// requests go to the core mutex regardless of stream (the core is a
-    /// full synchronization point).
+    /// served from the stream's own size-class shards and large requests
+    /// from the stream's own large bank, so warm allocations on different
+    /// streams never contend on a lock. Misses go to the core mutex, as do
+    /// all large requests when the large route is disabled
+    /// ([`DeviceAllocatorConfig::max_cached_large_per_bank`] `== 0`).
     ///
     /// # Errors
     ///
@@ -1223,7 +1189,7 @@ impl DeviceAllocator {
         let start = tel.map(|_| std::time::Instant::now());
         let result = if req.size < self.inner.small_threshold {
             self.allocate_small(req, stream, tel)
-        } else if self.inner.small_threshold > 0 && self.inner.max_cached_large_per_bank > 0 {
+        } else if self.inner.large_route {
             self.allocate_large(req, stream, tel)
         } else {
             // Large route disabled (`max_cached_large_per_bank == 0`), or
@@ -1243,9 +1209,9 @@ impl DeviceAllocator {
     }
 
     /// Releases the allocation identified by `id` (see
-    /// [`AllocatorCore::deallocate`]) from the default stream. Small
-    /// allocations made on the default stream are parked in their size
-    /// class's shard for reuse instead of being returned to the core.
+    /// [`AllocatorCore::deallocate`]) from the default stream. Allocations
+    /// made on the default stream are parked in their bank for reuse
+    /// instead of being returned to the core.
     pub fn deallocate(&self, id: AllocationId) -> Result<(), AllocError> {
         self.free_on_stream(id, StreamId::DEFAULT)
     }
@@ -1253,15 +1219,18 @@ impl DeviceAllocator {
     /// Releases the allocation identified by `id`, where the free is issued
     /// from `stream`.
     ///
-    /// The block always routes back to the shard that minted its id (its
-    /// allocating stream's bank — the id's low bits name it, no shared
-    /// lookup). What happens there depends on the freeing stream:
+    /// The block always routes back to the bank that minted its id (a
+    /// size-class shard or a large bank of its allocating stream — the id's
+    /// low bits name it, no shared lookup). What happens there depends on
+    /// the freeing stream:
     ///
     /// * **same stream** as the allocation: the block is parked in the
-    ///   stream's free list for immediate reuse;
+    ///   stream's free list for immediate reuse, up to the route's cap
+    ///   ([`DeviceAllocatorConfig::max_cached_per_class`] /
+    ///   [`DeviceAllocatorConfig::max_cached_large_per_bank`]);
     /// * **different stream**, with an [`EventSource`] configured: an event
     ///   is recorded on the freeing stream and the block waits in the
-    ///   shard's pending ring; once the event completes it is promoted back
+    ///   bank's pending ring; once the event completes it is promoted back
     ///   into the *owning* stream's free list (by the allocation path or
     ///   [`DeviceAllocator::process_events`]) — PyTorch's event-guarded
     ///   cross-stream reuse rule, with no core-mutex round trip. When the
@@ -1272,7 +1241,8 @@ impl DeviceAllocator {
     /// * **different stream**, without an event source (or with the ring
     ///   full): the block is returned to the core instead — it can only be
     ///   handed out again through the core mutex, a full synchronization
-    ///   point standing in for the event.
+    ///   point standing in for the event. With an event source, the event
+    ///   is recorded and synchronized before the core sees the block.
     ///
     /// # Errors
     ///
@@ -1305,90 +1275,85 @@ impl DeviceAllocator {
             // allocation.
             return self.inner.core.lock().deallocate(id);
         }
-        if raw & LARGE_ID_BIT != 0 {
-            return self.free_large(id, stream, tel);
-        }
-        // The minting shard rides in the id's low bits; its lock covers the
-        // live entry, the class free list, and the stats in one acquisition.
-        let shard = &self.inner.shards[(raw & self.inner.shard_mask) as usize];
+        let banks = if raw & LARGE_ID_BIT != 0 {
+            &self.inner.large
+        } else {
+            &self.inner.shards
+        };
+        // The minting bank rides in the id's low bits; its lock covers the
+        // live entry, the free list, and the stats in one acquisition.
+        let bank = &banks[raw as usize & (banks.len() - 1)];
         // A cross-stream fallback with an event source must synchronize the
         // freeing stream before the core may re-serve the block (same rule
         // as `drain_to_core`); carried out of the lock scope.
         let mut sync_before_core = None;
         let to_core = {
-            let mut guard = shard.lock();
-            let g = &mut *guard;
+            let mut g = bank.lock();
             let Some(entry) = g.live.remove(&raw) else {
                 return Err(AllocError::UnknownAllocation(id));
             };
             g.stats.fast_frees += 1;
-            if entry.block.stream != stream {
-                // Cross-stream free: the block must not be reusable until
-                // the freeing stream's in-flight work is done with it. With
-                // an event source, record an event on the freeing stream
-                // and park the block in the pending ring (promotion hands
-                // it back to the OWNING stream once the event completes);
-                // without one — or when the ring is full — fall back to the
+            let (block, key) = (entry.block, entry.key);
+            if block.stream == stream {
+                if let Some(t) = tel {
+                    t.record(EventKind::Free, block.size, stream.as_u32() as u64, 0);
+                }
+                g.park_capped(block, key)
+            } else {
+                // Cross-stream free: the block must not be reusable (by
+                // anyone, on any stream) until the freeing stream's
+                // in-flight work is done with it. With an event source,
+                // record an event on the freeing stream and park the block
+                // in the pending ring (promotion hands it back to the
+                // OWNING stream once the event completes); without one —
+                // or when the ring is full — fall back to the
                 // return-through-the-core rule.
                 if let Some(events) = &self.inner.events {
-                    if g.pending.len() < self.inner.pending_ring_cap {
-                        match events.try_record(stream) {
+                    if g.can_pend(self.inner.pending_ring_cap) {
+                        let parked = match events.try_record(stream) {
                             Some(event) => {
-                                g.stats.cross_stream_parked += 1;
-                                g.stats.pending_bytes += entry.block.size;
+                                g.stats.pending_bytes += block.size;
                                 g.stats.pending_blocks += 1;
                                 g.pending.push_back(PendingBlock {
-                                    block: entry.block,
-                                    class: entry.class,
+                                    block,
+                                    key,
                                     event,
                                     freed_from: stream,
                                 });
-                                if let Some(t) = tel {
-                                    t.record(
-                                        EventKind::CrossStreamPark,
-                                        entry.class,
-                                        stream.as_u32() as u64,
-                                        entry.block.stream.as_u32() as u64,
-                                    );
-                                }
-                                return Ok(());
+                                true
                             }
-                            None => {
-                                // The event is already complete at record
-                                // time (the freeing stream has nothing in
-                                // flight): skip the ring and park straight
-                                // into the OWNER's free list — the
-                                // park+promote pair collapsed into one
-                                // step, one event-source call total.
-                                let stack = g.free.entry(entry.class).or_default();
-                                if stack.len() < self.inner.max_cached_per_class {
-                                    g.stats.cross_stream_parked += 1;
-                                    g.stats.event_promotions += 1;
-                                    g.stats.cached_bytes += entry.block.size;
-                                    g.stats.cached_blocks += 1;
-                                    stack.push(entry.block);
-                                    if let Some(t) = tel {
-                                        t.record(
-                                            EventKind::CrossStreamPark,
-                                            entry.class,
-                                            stream.as_u32() as u64,
-                                            entry.block.stream.as_u32() as u64,
-                                        );
-                                    }
-                                    return Ok(());
-                                }
-                                // Free list at cap: overflow to the core.
-                                // No synchronization owed — the stream is
-                                // caught up.
+                            // The event is already complete at record time
+                            // (the freeing stream has nothing in flight):
+                            // skip the ring and park straight into the
+                            // OWNER's free list — the park+promote pair
+                            // collapsed into one step.
+                            None if g.try_park(block, key) => {
+                                g.stats.event_promotions += 1;
+                                true
                             }
+                            // Caught up but the free list is at its cap:
+                            // overflow to the core, no synchronization owed.
+                            None => false,
+                        };
+                        if parked {
+                            g.stats.cross_stream_parked += 1;
+                            if let Some(t) = tel {
+                                t.record(
+                                    EventKind::CrossStreamPark,
+                                    key,
+                                    stream.as_u32() as u64,
+                                    block.stream.as_u32() as u64,
+                                );
+                            }
+                            return Ok(());
                         }
                     } else {
-                        // Ring full: the block goes to the core, but the
-                        // model still owes the freeing stream a
-                        // synchronization — record the event now (under
-                        // the shard lock, the source is a lock-order
-                        // leaf) and wait it out after the lock drops,
-                        // before the core can re-serve the block.
+                        // Ring (or large bank) full: the block goes to the
+                        // core, but the freeing stream is still owed a
+                        // synchronization — record the event now (under the
+                        // bank lock, the source is a lock-order leaf) and
+                        // wait it out after the lock drops, before the core
+                        // can re-serve the block.
                         sync_before_core = Some(events.record(stream));
                     }
                 }
@@ -1397,33 +1362,7 @@ impl DeviceAllocator {
                 // synchronization point (the PR 4 conservative rule).
                 g.stats.cross_stream_fallback += 1;
                 g.stats.cache_returns += 1;
-                Some(entry.block)
-            } else {
-                if let Some(t) = tel {
-                    t.record(EventKind::Free, entry.block.size, stream.as_u32() as u64, 0);
-                }
-                let cap = self.inner.max_cached_per_class;
-                let stack = g.free.entry(entry.class).or_default();
-                if stack.len() < cap {
-                    stack.push(entry.block);
-                    g.stats.cached_bytes += entry.block.size;
-                    g.stats.cached_blocks += 1;
-                    None
-                } else if let Some(pos) = stack.iter().position(|b| b.stream != stream) {
-                    // Cap reached, but a folded stream's block holds a slot
-                    // this stream can never reuse: evict it to the core and
-                    // park ours, so an idle foreign stream cannot wedge the
-                    // warm path of every stream sharing the shard.
-                    let evicted = stack.swap_remove(pos);
-                    stack.push(entry.block);
-                    g.stats.cached_bytes += entry.block.size;
-                    g.stats.cached_bytes -= evicted.size;
-                    g.stats.cache_returns += 1;
-                    Some(evicted)
-                } else {
-                    g.stats.cache_returns += 1;
-                    Some(entry.block)
-                }
+                Some(block)
             }
         };
         if let Some(block) = to_core {
@@ -1439,152 +1378,22 @@ impl DeviceAllocator {
         Ok(())
     }
 
-    /// Releases a large allocation minted by [`DeviceAllocator::allocate_large`].
-    /// The owning bank rides in the id's low bits. Same event-guard rule as
-    /// the small shards, with the bank-wide cache cap:
-    ///
-    /// * **same stream**: park in the bank's free list (up to
-    ///   `max_cached_large_per_bank`), else return to the core;
-    /// * **cross-stream**, events configured: pend in the bank's ring, or
-    ///   — when the freeing stream is caught up — collapse straight into
-    ///   the owner's free list; a full ring (or full cache) records the
-    ///   event and **synchronizes it after the bank lock drops, before the
-    ///   core may re-serve the block** (the `drain_to_core` rule — this is
-    ///   the guard large frees used to bypass entirely);
-    /// * **cross-stream**, no events: conservative core fallback (the core
-    ///   mutex is the synchronization point standing in for the event).
-    fn free_large(
-        &self,
-        id: AllocationId,
-        stream: StreamId,
-        tel: Option<&PoolTelemetry>,
-    ) -> Result<(), AllocError> {
-        let raw = id.as_u64();
-        let bank = &self.inner.large_banks[(raw as usize) & (self.inner.stream_banks - 1)];
-        let cap = self.inner.max_cached_large_per_bank;
-        let mut sync_before_core = None;
-        let to_core = {
-            let mut guard = bank.lock();
-            let g = &mut *guard;
-            let Some(entry) = g.live.remove(&raw) else {
-                return Err(AllocError::UnknownAllocation(id));
-            };
-            g.stats.fast_frees += 1;
-            if entry.block.stream != stream {
-                // Cross-stream large free: the block must not be reusable
-                // (by anyone, on any stream) until the freeing stream's
-                // in-flight work is done with it.
-                if let Some(events) = &self.inner.events {
-                    if g.pending.len() < self.inner.pending_ring_cap
-                        && (g.stats.cached_blocks as usize) < cap
-                    {
-                        match events.try_record(stream) {
-                            Some(event) => {
-                                g.stats.cross_stream_parked += 1;
-                                g.stats.pending_bytes += entry.block.size;
-                                g.stats.pending_blocks += 1;
-                                g.pending.push_back(LargePending {
-                                    block: entry.block,
-                                    requested: entry.requested,
-                                    event,
-                                    freed_from: stream,
-                                });
-                                if let Some(t) = tel {
-                                    t.record(
-                                        EventKind::CrossStreamPark,
-                                        entry.requested,
-                                        stream.as_u32() as u64,
-                                        entry.block.stream.as_u32() as u64,
-                                    );
-                                }
-                                return Ok(());
-                            }
-                            None => {
-                                // Caught-up freeing stream: park + promote
-                                // collapse into one step.
-                                g.stats.cross_stream_parked += 1;
-                                g.stats.event_promotions += 1;
-                                g.park(entry.block, entry.requested);
-                                if let Some(t) = tel {
-                                    t.record(
-                                        EventKind::CrossStreamPark,
-                                        entry.requested,
-                                        stream.as_u32() as u64,
-                                        entry.block.stream.as_u32() as u64,
-                                    );
-                                }
-                                return Ok(());
-                            }
-                        }
-                    }
-                    // Ring or cache full: the block goes to the core, but
-                    // the freeing stream is still owed a synchronization —
-                    // record now (the source is a lock-order leaf), wait it
-                    // out after the lock drops, before the core can
-                    // re-serve the block.
-                    sync_before_core = Some(events.record(stream));
-                }
-                g.stats.cross_stream_fallback += 1;
-                g.stats.cache_returns += 1;
-                Some(entry.block)
-            } else {
-                if let Some(t) = tel {
-                    t.record(EventKind::Free, entry.block.size, stream.as_u32() as u64, 0);
-                }
-                if (g.stats.cached_blocks as usize) < cap {
-                    g.park(entry.block, entry.requested);
-                    None
-                } else {
-                    g.stats.cache_returns += 1;
-                    Some(entry.block)
-                }
-            }
-        };
-        if let Some(block) = to_core {
-            if let (Some(event), Some(events)) = (sync_before_core, &self.inner.events) {
-                events.synchronize(event);
-            }
-            self.inner
-                .core
-                .lock()
-                .deallocate(block.core_id)
-                .expect("front-end owns every cached large block");
-        }
-        Ok(())
-    }
-
-    /// Drains the free lists **and pending rings** of `shards` and hands
+    /// Drains the free lists **and pending rings** of `banks` and hands
     /// the blocks to the core; returns the bytes handed back.
     ///
     /// Pending blocks are drained even when their event has not completed:
     /// handing a block to the core is a full synchronization point (the
     /// core mutex serializes against every stream), so the event is
-    /// [`synchronize`](EventSource::synchronize)d — after the shard locks
+    /// [`synchronize`](EventSource::synchronize)d — after the bank locks
     /// are released, before the core sees the block — exactly as PyTorch
     /// synchronizes outstanding events when `empty_cache` reclaims
     /// cross-stream blocks. Defrag and OOM rescue therefore always see
     /// every cached byte, including not-yet-completed cross-stream blocks.
-    fn drain_to_core(&self, shards: &[Mutex<Shard>]) -> u64 {
+    fn drain_to_core(&self, banks: &[Mutex<Bank>]) -> u64 {
         let mut blocks: Vec<CachedBlock> = Vec::new();
         let mut pending_events: Vec<EventId> = Vec::new();
-        for shard in shards {
-            let mut guard = shard.lock();
-            let g = &mut *guard;
-            for stack in g.free.values_mut() {
-                for block in stack.iter() {
-                    g.stats.cache_returns += 1;
-                    g.stats.cached_bytes -= block.size;
-                    g.stats.cached_blocks -= 1;
-                }
-                blocks.append(stack);
-            }
-            while let Some(p) = g.pending.pop_front() {
-                g.stats.cache_returns += 1;
-                g.stats.pending_bytes -= p.block.size;
-                g.stats.pending_blocks -= 1;
-                pending_events.push(p.event);
-                blocks.push(p.block);
-            }
+        for bank in banks {
+            bank.lock().drain_into(&mut blocks, &mut pending_events);
         }
         if blocks.is_empty() {
             return 0;
@@ -1604,57 +1413,12 @@ impl DeviceAllocator {
         bytes
     }
 
-    /// Large-bank counterpart of [`DeviceAllocator::drain_to_core`]: drains
-    /// the free lists and pending rings of `banks`, synchronizes the
-    /// pending events after the bank locks drop, and hands every block to
-    /// the core; returns the bytes handed back.
-    fn drain_large_to_core(&self, banks: &[Mutex<LargeBank>]) -> u64 {
-        let mut blocks: Vec<CachedBlock> = Vec::new();
-        let mut pending_events: Vec<EventId> = Vec::new();
-        for bank in banks {
-            let mut guard = bank.lock();
-            let g = &mut *guard;
-            for stack in g.free.values_mut() {
-                for block in stack.iter() {
-                    g.stats.cache_returns += 1;
-                    g.stats.cached_bytes -= block.size;
-                    g.stats.cached_blocks -= 1;
-                }
-                blocks.append(stack);
-            }
-            g.free.clear();
-            while let Some(p) = g.pending.pop_front() {
-                g.stats.cache_returns += 1;
-                g.stats.pending_bytes -= p.block.size;
-                g.stats.pending_blocks -= 1;
-                pending_events.push(p.event);
-                blocks.push(p.block);
-            }
-        }
-        if blocks.is_empty() {
-            return 0;
-        }
-        if let Some(events) = &self.inner.events {
-            for event in pending_events {
-                events.synchronize(event);
-            }
-        }
-        let mut bytes = 0;
-        let mut core = self.inner.core.lock();
-        for block in &blocks {
-            bytes += block.size;
-            core.deallocate(block.core_id)
-                .expect("front-end owns every cached large block");
-        }
-        bytes
-    }
-
-    /// Sweeps every shard's pending ring, promoting each cross-stream-freed
+    /// Sweeps every bank's pending ring, promoting each cross-stream-freed
     /// block whose event has completed into its owning stream's free list;
     /// returns how many blocks were promoted.
     ///
     /// The allocation path already promotes opportunistically (a free-list
-    /// miss checks the shard's own ring before falling through to the
+    /// miss checks the bank's own ring before falling through to the
     /// core), so calling this is optional — it is the *proactive* sweep for
     /// natural synchronization points (iteration boundaries, scheduler
     /// ticks), keeping rings short when the owning stream goes idle. A
@@ -1664,13 +1428,7 @@ impl DeviceAllocator {
             return 0;
         };
         let mut promoted = 0;
-        for shard in self.inner.shards.iter() {
-            let mut guard = shard.lock();
-            if !guard.pending.is_empty() {
-                promoted += guard.promote_completed(&**events);
-            }
-        }
-        for bank in self.inner.large_banks.iter() {
+        for bank in self.inner.shards.iter().chain(self.inner.large.iter()) {
             let mut guard = bank.lock();
             if !guard.pending.is_empty() {
                 promoted += guard.promote_completed(&**events);
@@ -1686,92 +1444,64 @@ impl DeviceAllocator {
         promoted
     }
 
-    /// Returns every block parked in the shard caches — across **every**
-    /// stream bank — to the wrapped core and reports the bytes handed back.
-    /// The core decides what happens next (pool them, release them);
-    /// flushing itself frees no physical memory.
+    /// Returns every block parked in the front-end — small shards and
+    /// large banks of **every** stream — to the wrapped core and reports
+    /// the bytes handed back. The core decides what happens next (pool
+    /// them, release them); flushing itself frees no physical memory.
     ///
     /// This is the flush the defrag/OOM paths run: defragmentation must see
-    /// every cached byte, so it can never be scoped to one stream. Drains
-    /// the large banks as well as the small shards.
+    /// every cached byte, so it can never be scoped to one stream.
     pub fn flush(&self) -> u64 {
-        self.drain_to_core(&self.inner.shards) + self.drain_large_to_core(&self.inner.large_banks)
+        self.drain_to_core(&self.inner.shards) + self.drain_to_core(&self.inner.large)
     }
 
-    /// Returns the blocks parked in `stream`'s bank (only) to the wrapped
-    /// core and reports the bytes handed back — the targeted variant of
-    /// [`DeviceAllocator::flush`] for callers that want to retire one idle
-    /// stream without disturbing the others' warm caches.
+    /// Returns the blocks parked in `stream`'s shards and large bank (only)
+    /// to the wrapped core and reports the bytes handed back — the targeted
+    /// variant of [`DeviceAllocator::flush`] for callers that want to
+    /// retire one idle stream without disturbing the others' warm caches.
     ///
     /// **Folding caveat:** a stream id at or above the configured
-    /// [`DeviceAllocatorConfig::streams`] count folds onto an existing bank
-    /// (see the config docs), so this drains that *shared* bank — e.g.
-    /// `flush_stream(StreamId(8))` on an 8-bank pool drains stream 0's
-    /// warm cache too. Pass only configured stream ids when you want the
-    /// flush to stay targeted.
+    /// [`DeviceAllocatorConfig::streams`] count folds onto an existing
+    /// stream bank (see the config docs), so this drains that *shared*
+    /// bank — e.g. `flush_stream(StreamId(8))` on an 8-stream pool drains
+    /// stream 0's warm cache too. Pass only configured stream ids when you
+    /// want the flush to stay targeted.
     pub fn flush_stream(&self, stream: StreamId) -> u64 {
-        let large = std::slice::from_ref(&self.inner.large_banks[self.bank_index(stream)]);
-        self.drain_to_core(self.bank(stream)) + self.drain_large_to_core(large)
+        let large = std::slice::from_ref(&self.inner.large[self.bank_index(stream)]);
+        self.drain_to_core(self.stream_shards(stream)) + self.drain_to_core(large)
     }
 
-    /// The slice of shards forming `stream`'s bank.
-    #[inline]
-    fn bank(&self, stream: StreamId) -> &[Mutex<Shard>] {
-        let bank = stream.as_u32() as usize & (self.inner.stream_banks - 1);
-        let n = self.inner.class_shards;
-        &self.inner.shards[bank * n..(bank + 1) * n]
-    }
-
-    /// Sums the reconciliation counters of a slice of shards.
-    fn sum_shards(shards: &[Mutex<Shard>]) -> ShardStats {
-        let mut total = ShardStats::default();
-        for shard in shards {
-            total.absorb(&shard.lock().stats);
-        }
-        total
-    }
-
-    /// Sums the reconciliation counters of a slice of large banks.
-    fn sum_large_banks(banks: &[Mutex<LargeBank>]) -> ShardStats {
-        let mut total = ShardStats::default();
+    /// Sums the reconciliation counters of a slice of banks.
+    fn sum(banks: &[Mutex<Bank>]) -> BankStats {
+        let mut total = BankStats::default();
         for bank in banks {
             total.absorb(&bank.lock().stats);
         }
         total
     }
 
-    /// Sums the per-shard reconciliation counters across every stream bank.
-    fn shard_totals(&self) -> ShardStats {
-        Self::sum_shards(&self.inner.shards)
-    }
-
-    /// Sums the large banks' reconciliation counters.
-    fn large_totals(&self) -> ShardStats {
-        Self::sum_large_banks(&self.inner.large_banks)
+    /// Sums the counters of every bank, small and large.
+    fn totals(&self) -> BankStats {
+        let mut total = Self::sum(&self.inner.shards);
+        total.absorb(&Self::sum(&self.inner.large));
+        total
     }
 
     /// Memory statistics of the pool: the wrapped core's counters
-    /// reconciled with the per-shard fast-path counters. Exact whenever the
+    /// reconciled with the per-bank front-end counters. Exact whenever the
     /// pool is quiescent; a faithful snapshot under concurrency.
     ///
     /// Blocks waiting in the pending rings count as *freed* here, exactly
     /// like blocks parked in the free lists: the caller relinquished them,
-    /// only the event machinery still holds them back from reuse.
+    /// only the event machinery still holds them back from reuse. A block
+    /// between selection and commit is counted exactly once (live at the
+    /// core, no longer cached: `take` uncounts it under the same bank-lock
+    /// acquisition that books the hit).
     ///
     /// Peak watermarks are measured at the core, so bytes parked in the
-    /// shard caches count toward `peak_active_bytes` (an upper bound).
+    /// front-end count toward `peak_active_bytes` (an upper bound).
     pub fn stats(&self) -> MemStats {
-        let mut fast = self.shard_totals();
-        // The large banks reconcile through the same counters: a large hit
-        // never reached the core (`hits`), a parked large free is freed
-        // from the caller's view (`fast_frees` minus `cache_returns`), and
-        // parked/pending large bytes are not active. The large route reuses
-        // only on exact requested size, so `requested_inflation` stays 0 —
-        // a block between selection and commit is counted exactly once
-        // (live at the core, no longer cached here: `LargeBank::take`
-        // removes it and its cached bytes under the same bank-lock
-        // acquisition that books the hit).
-        fast.absorb(&self.large_totals());
+        let fast = self.totals();
         let mut s = self.inner.core.lock().stats();
         s.alloc_count += fast.hits;
         s.free_count = (s.free_count + fast.fast_frees).saturating_sub(fast.cache_returns);
@@ -1783,8 +1513,8 @@ impl DeviceAllocator {
         s
     }
 
-    /// Projects summed shard counters into the public telemetry shape.
-    fn cache_stats_of(fast: ShardStats, shards: usize, streams: usize) -> DeviceCacheStats {
+    /// Projects summed bank counters into the public telemetry shape.
+    fn cache_stats_of(fast: BankStats, shards: usize, streams: usize) -> DeviceCacheStats {
         DeviceCacheStats {
             hits: fast.hits,
             misses: fast.misses,
@@ -1800,13 +1530,15 @@ impl DeviceAllocator {
         }
     }
 
-    /// Cache telemetry aggregated across every stream bank — small shards
+    /// Cache telemetry aggregated across every stream — small shards
     /// **and** large banks (see [`DeviceAllocator::large_cache_stats`] for
     /// the large route alone).
     pub fn cache_stats(&self) -> DeviceCacheStats {
-        let mut fast = self.shard_totals();
-        fast.absorb(&self.large_totals());
-        Self::cache_stats_of(fast, self.inner.shards.len(), self.inner.stream_banks)
+        Self::cache_stats_of(
+            self.totals(),
+            self.inner.shards.len(),
+            self.inner.stream_banks,
+        )
     }
 
     /// Cache telemetry of the large route only: the per-stream large banks'
@@ -1815,25 +1547,26 @@ impl DeviceAllocator {
     /// the threshold ran with `max_cached_large_per_bank > 0`.
     pub fn large_cache_stats(&self) -> DeviceCacheStats {
         Self::cache_stats_of(
-            self.large_totals(),
-            self.inner.large_banks.len(),
+            Self::sum(&self.inner.large),
+            self.inner.large.len(),
             self.inner.stream_banks,
         )
     }
 
-    /// Cache telemetry of one stream's bank only (`shards` reports the
-    /// bank's shard count, `streams` is 1). Includes the bank's pending-ring
-    /// occupancy ([`DeviceCacheStats::pending_bytes`] /
+    /// Cache telemetry of one stream's shards and large bank only (`shards`
+    /// reports the stream's shard count, `streams` is 1). Includes the
+    /// pending-ring occupancy ([`DeviceCacheStats::pending_bytes`] /
     /// [`DeviceCacheStats::pending_blocks`]): cross-stream-freed blocks
-    /// owned by this bank's streams that are still waiting on their event.
+    /// owned by this stream that are still waiting on their event.
     ///
     /// **Folding caveat:** a stream id at or above the configured
-    /// [`DeviceAllocatorConfig::streams`] count folds onto an existing bank
-    /// (see the config docs), so the counters reported here are the shared
-    /// bank's — they include activity from every stream folded onto it.
+    /// [`DeviceAllocatorConfig::streams`] count folds onto an existing
+    /// stream bank (see the config docs), so the counters reported here are
+    /// the shared bank's — they include activity from every stream folded
+    /// onto it.
     pub fn stream_cache_stats(&self, stream: StreamId) -> DeviceCacheStats {
-        let mut fast = Self::sum_shards(self.bank(stream));
-        fast.absorb(&self.inner.large_banks[self.bank_index(stream)].lock().stats);
+        let mut fast = Self::sum(self.stream_shards(stream));
+        fast.absorb(&self.inner.large[self.bank_index(stream)].lock().stats);
         Self::cache_stats_of(fast, self.inner.class_shards, 1)
     }
 
@@ -1848,7 +1581,7 @@ impl DeviceAllocator {
         self.inner.core.lock().iteration_boundary();
     }
 
-    /// Flushes the shard caches into the core, then releases the core's
+    /// Flushes the front-end caches into the core, then releases the core's
     /// cached memory (see [`AllocatorCore::release_cached`]). Returns the
     /// physical bytes released.
     pub fn release_cached(&self) -> u64 {
@@ -1856,7 +1589,7 @@ impl DeviceAllocator {
         self.inner.core.lock().release_cached()
     }
 
-    /// Flushes the shard caches into the core, then runs the core's
+    /// Flushes the front-end caches into the core, then runs the core's
     /// proactive defrag pass (see [`AllocatorCore::compact`]). Returns the
     /// physical bytes released.
     pub fn compact(&self) -> u64 {
@@ -1865,7 +1598,7 @@ impl DeviceAllocator {
     }
 
     /// Instantaneous fragmentation ratio over the reconciled [`stats`]
-    /// (bytes parked in shard caches count as reclaimable, not active).
+    /// (bytes parked in the front-end count as reclaimable, not active).
     ///
     /// [`stats`]: DeviceAllocator::stats
     pub fn fragmentation(&self) -> f64 {
@@ -1878,24 +1611,25 @@ impl DeviceAllocator {
     }
 
     /// Runs `f` with exclusive access to the wrapped core — the escape
-    /// hatch for implementation-specific calls. The shard caches are *not*
-    /// flushed first (call [`DeviceAllocator::flush`] if `f` needs to see
-    /// every block); do not block inside `f`, every core-path caller waits.
+    /// hatch for implementation-specific calls. The front-end caches are
+    /// *not* flushed first (call [`DeviceAllocator::flush`] if `f` needs to
+    /// see every block); do not block inside `f`, every core-path caller
+    /// waits.
     pub fn with_core<R>(&self, f: impl FnOnce(&mut dyn AllocatorCore) -> R) -> R {
         f(&mut **self.inner.core.lock())
     }
 
     /// Forwards [`AllocatorCore::set_stitch_enabled`] to the wrapped core.
-    /// The shard caches are untouched — only the core's composition
-    /// machinery is gated, so small-alloc fast paths stay warm while a
-    /// circuit breaker holds stitching open.
+    /// The front-end caches are untouched — only the core's composition
+    /// machinery is gated, so warm fast paths stay warm while a circuit
+    /// breaker holds stitching open.
     pub fn set_stitch_enabled(&self, enabled: bool) {
         self.inner.core.lock().set_stitch_enabled(enabled);
     }
 
     /// Forwards [`AllocatorCore::fault_journal_stats`] to the wrapped core
-    /// without flushing the shard caches (journal counters live in the core
-    /// and are unaffected by parked shard blocks).
+    /// without flushing the front-end caches (journal counters live in the
+    /// core and are unaffected by parked blocks).
     pub fn fault_journal_stats(&self) -> crate::stats::FaultJournalStats {
         self.inner.core.lock().fault_journal_stats()
     }
@@ -2053,6 +1787,39 @@ mod tests {
         }
     }
 
+    /// A front-end over `core` with `config`, strictly validated.
+    fn pool_with(core: TestCore, config: DeviceAllocatorConfig) -> DeviceAllocator {
+        DeviceAllocator::builder()
+            .config(config)
+            .build(Box::new(core))
+            .unwrap()
+    }
+
+    /// [`pool_with`] plus an event source.
+    fn events_pool_with(
+        core: TestCore,
+        config: DeviceAllocatorConfig,
+        events: Arc<dyn EventSource>,
+    ) -> DeviceAllocator {
+        DeviceAllocator::builder()
+            .config(config)
+            .events(events)
+            .build(Box::new(core))
+            .unwrap()
+    }
+
+    /// Mask of the global shard index — the low bits of a small-route id.
+    fn shard_mask(pool: &DeviceAllocator) -> u64 {
+        pool.inner.shards.len() as u64 - 1
+    }
+
+    /// Builds with `cfg` as given: the strict path.
+    fn build_strict(cfg: &DeviceAllocatorConfig) -> Result<DeviceAllocator, AllocError> {
+        DeviceAllocator::builder()
+            .config(cfg.clone())
+            .build(Box::new(TestCore::default()))
+    }
+
     #[test]
     fn size_classes_round_up_to_powers_of_two() {
         assert_eq!(size_class(1), MIN_CLASS);
@@ -2065,7 +1832,7 @@ mod tests {
     #[test]
     fn minted_ids_are_unique_and_route_back_to_their_shard() {
         let pool = DeviceAllocator::new(TestCore::default());
-        let mask = pool.inner.shard_mask;
+        let mask = shard_mask(&pool);
         let mut seen = std::collections::HashSet::new();
         for i in 0..200u64 {
             let size = 512 << (i % 8); // several classes, several shards
@@ -2158,7 +1925,11 @@ mod tests {
         pool.deallocate(a.id).unwrap();
         let large = pool.large_cache_stats();
         assert_eq!(large.cached_blocks, 1, "parked in the large bank");
-        assert_eq!(pool.shard_totals().cached_blocks, 0, "shards untouched");
+        assert_eq!(
+            DeviceAllocator::sum(&pool.inner.shards).cached_blocks,
+            0,
+            "shards untouched"
+        );
         assert_eq!(
             pool.deallocate(a.id).unwrap_err(),
             AllocError::UnknownAllocation(a.id),
@@ -2176,7 +1947,7 @@ mod tests {
     fn large_route_disabled_hands_out_core_ids() {
         // max_cached_large_per_bank == 0 is the single-mutex baseline: the
         // pre-PR 9 behaviour, and what bench_pr9 compares against.
-        let pool = DeviceAllocator::with_config(
+        let pool = pool_with(
             TestCore::default(),
             DeviceAllocatorConfig::default().with_max_cached_large_per_bank(0),
         );
@@ -2230,7 +2001,7 @@ mod tests {
         // before the core dealloc — the drain_to_core rule large frees
         // used to bypass entirely.
         let events = Arc::new(ManualEvents::new());
-        let pool = DeviceAllocator::with_config_and_events(
+        let pool = events_pool_with(
             TestCore::default(),
             DeviceAllocatorConfig::default()
                 .with_streams(2)
@@ -2314,7 +2085,7 @@ mod tests {
 
     #[test]
     fn large_bank_cap_overflows_to_the_core() {
-        let pool = DeviceAllocator::with_config(
+        let pool = pool_with(
             TestCore::default(),
             DeviceAllocatorConfig::default().with_max_cached_large_per_bank(2),
         );
@@ -2369,7 +2140,7 @@ mod tests {
 
     #[test]
     fn per_class_cache_overflow_returns_to_the_core() {
-        let pool = DeviceAllocator::with_config(
+        let pool = pool_with(
             TestCore::default(),
             DeviceAllocatorConfig::default().with_max_cached_per_class(2),
         );
@@ -2405,7 +2176,7 @@ mod tests {
 
     #[test]
     fn threshold_zero_disables_the_fast_path() {
-        let pool = DeviceAllocator::with_config(
+        let pool = pool_with(
             TestCore::default(),
             DeviceAllocatorConfig::default().with_small_threshold(0),
         );
@@ -2429,13 +2200,10 @@ mod tests {
             cfg.validate(),
             Err(AllocError::InvalidConfig(msg)) if msg.contains("streams")
         ));
-        let err = DeviceAllocator::try_with_config(TestCore::default(), cfg.clone()).unwrap_err();
+        let err = build_strict(&cfg).unwrap_err();
         assert!(matches!(err, AllocError::InvalidConfig(_)));
-        let err = DeviceAllocator::try_from_boxed(Box::new(TestCore::default()), cfg.clone())
-            .unwrap_err();
-        assert!(matches!(err, AllocError::InvalidConfig(_)));
-        // The infallible constructors normalize instead of panicking.
-        let pool = DeviceAllocator::with_config(TestCore::default(), cfg);
+        // Normalizing first repairs the value instead of panicking.
+        let pool = pool_with(TestCore::default(), cfg.normalized());
         assert_eq!(pool.cache_stats().streams, 1);
     }
 
@@ -2446,10 +2214,10 @@ mod tests {
             cfg.validate(),
             Err(AllocError::InvalidConfig(msg)) if msg.contains("shards")
         ));
-        let err = DeviceAllocator::try_with_config(TestCore::default(), cfg.clone()).unwrap_err();
+        let err = build_strict(&cfg).unwrap_err();
         assert!(matches!(err, AllocError::InvalidConfig(_)));
-        // The infallible constructors normalize instead of panicking.
-        let pool = DeviceAllocator::with_config(TestCore::default(), cfg);
+        // Normalizing first repairs the value instead of panicking.
+        let pool = pool_with(TestCore::default(), cfg.normalized());
         assert_eq!(pool.cache_stats().shards, 1);
     }
 
@@ -2465,11 +2233,10 @@ mod tests {
             DeviceAllocatorConfig::default().with_shards(MAX_SHARDS + 1),
         ] {
             assert!(matches!(cfg.validate(), Err(AllocError::InvalidConfig(_))));
-            let err =
-                DeviceAllocator::try_with_config(TestCore::default(), cfg.clone()).unwrap_err();
+            let err = build_strict(&cfg).unwrap_err();
             assert!(matches!(err, AllocError::InvalidConfig(_)));
-            // The infallible constructors clamp instead of panicking.
-            let pool = DeviceAllocator::with_config(TestCore::default(), cfg);
+            // Normalizing first clamps instead of panicking.
+            let pool = pool_with(TestCore::default(), cfg.normalized());
             let c = pool.cache_stats();
             assert!(c.streams <= MAX_STREAMS && c.shards <= MAX_STREAMS * MAX_SHARDS);
         }
@@ -2483,8 +2250,8 @@ mod tests {
 
     #[test]
     fn normalized_output_always_validates() {
-        // The contract from_boxed relies on: whatever validate() rejects,
-        // normalized() repairs.
+        // The contract clamping callers rely on: whatever validate()
+        // rejects, normalized() repairs.
         for cfg in [
             DeviceAllocatorConfig::default()
                 .with_streams(0)
@@ -2510,13 +2277,12 @@ mod tests {
 
     #[test]
     fn stream_count_rounds_to_a_power_of_two_banks() {
-        let pool = DeviceAllocator::try_with_config(
+        let pool = pool_with(
             TestCore::default(),
             DeviceAllocatorConfig::default()
                 .with_streams(3)
                 .with_shards(4),
-        )
-        .unwrap();
+        );
         let c = pool.cache_stats();
         assert_eq!(c.streams, 4, "3 streams round up to 4 banks");
         assert_eq!(c.shards, 16, "4 banks x 4 class shards");
@@ -2525,7 +2291,7 @@ mod tests {
 
     #[test]
     fn same_class_different_streams_use_disjoint_shards() {
-        let pool = DeviceAllocator::with_config(
+        let pool = pool_with(
             TestCore::default(),
             DeviceAllocatorConfig::default().with_streams(4),
         );
@@ -2538,8 +2304,8 @@ mod tests {
             .alloc_on_stream(AllocRequest::new(1024), StreamId(1))
             .unwrap();
         assert_ne!(
-            a.id.as_u64() & pool.inner.shard_mask,
-            b.id.as_u64() & pool.inner.shard_mask,
+            a.id.as_u64() & shard_mask(&pool),
+            b.id.as_u64() & shard_mask(&pool),
             "the id's low bits name different shards"
         );
         pool.free_on_stream(a.id, StreamId(0)).unwrap();
@@ -2556,7 +2322,7 @@ mod tests {
 
     #[test]
     fn cross_stream_free_routes_through_the_core() {
-        let pool = DeviceAllocator::with_config(
+        let pool = pool_with(
             TestCore::default(),
             DeviceAllocatorConfig::default().with_streams(2),
         );
@@ -2586,7 +2352,7 @@ mod tests {
 
     #[test]
     fn same_stream_free_on_a_nondefault_stream_parks_for_reuse() {
-        let pool = DeviceAllocator::with_config(
+        let pool = pool_with(
             TestCore::default(),
             DeviceAllocatorConfig::default().with_streams(2),
         );
@@ -2605,24 +2371,34 @@ mod tests {
 
     #[test]
     fn flush_and_flush_stream_cover_the_right_banks() {
-        let pool = DeviceAllocator::with_config(
+        let pool = pool_with(
             TestCore::default(),
             DeviceAllocatorConfig::default().with_streams(2),
         );
+        // One small-class and one large block parked per stream.
+        let per_stream = 1024 + mib(4);
         for s in [StreamId(0), StreamId(1)] {
             let a = pool.alloc_on_stream(AllocRequest::new(1000), s).unwrap();
+            let big = pool.alloc_on_stream(AllocRequest::new(mib(4)), s).unwrap();
             pool.free_on_stream(a.id, s).unwrap();
+            pool.free_on_stream(big.id, s).unwrap();
         }
-        assert_eq!(pool.cache_stats().cached_bytes, 2048);
-        // Targeted flush: only stream 1's bank drains.
-        assert_eq!(pool.flush_stream(StreamId(1)), 1024);
+        assert_eq!(pool.cache_stats().cached_bytes, 2 * per_stream);
+        assert_eq!(pool.large_cache_stats().cached_blocks, 2);
+        // Targeted flush: only stream 1's shards and large bank drain.
+        assert_eq!(pool.flush_stream(StreamId(1)), per_stream);
         assert_eq!(pool.stream_cache_stats(StreamId(1)).cached_bytes, 0);
-        assert_eq!(pool.stream_cache_stats(StreamId(0)).cached_bytes, 1024);
+        assert_eq!(
+            pool.stream_cache_stats(StreamId(0)).cached_bytes,
+            per_stream
+        );
+        assert_eq!(pool.large_cache_stats().cached_blocks, 1);
         // Full flush reaches every remaining bank.
-        assert_eq!(pool.flush(), 1024);
+        assert_eq!(pool.flush(), per_stream);
         assert_eq!(pool.cache_stats().cached_bytes, 0);
+        assert_eq!(pool.large_cache_stats().cached_blocks, 0);
         let s = pool.stats();
-        assert_eq!((s.alloc_count, s.free_count, s.active_bytes), (2, 2, 0));
+        assert_eq!((s.alloc_count, s.free_count, s.active_bytes), (4, 4, 0));
     }
 
     #[test]
@@ -2630,7 +2406,7 @@ mod tests {
         // Capacity fits exactly two 1 KiB class blocks; both end up parked,
         // one per stream. A 2 KiB-class allocation can only succeed if the
         // OOM retry flushes BOTH banks, not just the allocating stream's.
-        let pool = DeviceAllocator::with_config(
+        let pool = pool_with(
             TestCore::bounded(2048),
             DeviceAllocatorConfig::default().with_streams(2),
         );
@@ -2652,7 +2428,7 @@ mod tests {
         // Placement folds stream 5 onto bank 1 (2 banks), but the reuse
         // guard compares exact StreamIds: stream 1 freeing stream 5's block
         // is cross-stream even though they share a bank.
-        let pool = DeviceAllocator::with_config(
+        let pool = pool_with(
             TestCore::default(),
             DeviceAllocatorConfig::default().with_streams(2),
         );
@@ -2671,7 +2447,7 @@ mod tests {
         // same-stream free. Stream 1 shares that bank's free lists, but an
         // allocation on stream 1 must NOT be handed stream 5's block — a
         // block only moves between streams through the core mutex.
-        let pool = DeviceAllocator::with_config(
+        let pool = pool_with(
             TestCore::default(),
             DeviceAllocatorConfig::default().with_streams(2),
         );
@@ -2705,7 +2481,7 @@ mod tests {
         // its cap, then goes idle. Stream 1 shares that shard: its frees
         // must evict the foreign blocks (to the core) rather than overflow
         // forever, so the warm path recovers instead of staying wedged.
-        let pool = DeviceAllocator::with_config(
+        let pool = pool_with(
             TestCore::default(),
             DeviceAllocatorConfig::default()
                 .with_streams(2)
@@ -2751,7 +2527,7 @@ mod tests {
     /// to script pending→ready transitions.
     fn event_pool(capacity: u64) -> (DeviceAllocator, Arc<ManualEvents>) {
         let events = Arc::new(ManualEvents::new());
-        let pool = DeviceAllocator::with_config_and_events(
+        let pool = events_pool_with(
             TestCore::bounded(capacity),
             DeviceAllocatorConfig::default().with_streams(2),
             events.clone(),
@@ -2814,24 +2590,36 @@ mod tests {
     #[test]
     fn process_events_sweeps_the_pending_rings() {
         let (pool, events) = event_pool(0);
+        // One small-class and one large block, both freed cross-stream.
         let a = pool
             .alloc_on_stream(AllocRequest::new(2048), StreamId(1))
             .unwrap();
+        let big = pool
+            .alloc_on_stream(AllocRequest::new(mib(4)), StreamId(1))
+            .unwrap();
         pool.free_on_stream(a.id, StreamId(0)).unwrap();
-        assert_eq!(pool.process_events(), 0, "event still outstanding");
-        assert_eq!(pool.cache_stats().pending_blocks, 1);
+        pool.free_on_stream(big.id, StreamId(0)).unwrap();
+        assert_eq!(pool.process_events(), 0, "events still outstanding");
+        assert_eq!(pool.cache_stats().pending_blocks, 2);
+        assert_eq!(pool.large_cache_stats().pending_blocks, 1);
         events.complete_all();
-        assert_eq!(pool.process_events(), 1);
+        assert_eq!(pool.process_events(), 2, "the sweep reaches both rings");
         let c = pool.cache_stats();
         assert_eq!(c.pending_blocks, 0);
-        assert_eq!(c.cached_blocks, 1, "promoted into the owner's free list");
-        // The owner reuses the promoted block.
+        assert_eq!(c.cached_blocks, 2, "promoted into the owner's free lists");
+        assert_eq!(pool.large_cache_stats().event_promotions, 1);
+        // The owner reuses both promoted blocks.
         let b = pool
             .alloc_on_stream(AllocRequest::new(2048), StreamId(1))
             .unwrap();
         assert_eq!(b.va, a.va);
-        assert_eq!(pool.cache_stats().hits, 1);
+        let big2 = pool
+            .alloc_on_stream(AllocRequest::new(mib(4)), StreamId(1))
+            .unwrap();
+        assert_eq!(big2.va, big.va);
+        assert_eq!(pool.cache_stats().hits, 2);
         pool.free_on_stream(b.id, StreamId(1)).unwrap();
+        pool.free_on_stream(big2.id, StreamId(1)).unwrap();
     }
 
     #[test]
@@ -2843,7 +2631,7 @@ mod tests {
     #[test]
     fn full_pending_ring_falls_back_to_the_core_after_synchronizing() {
         let events = Arc::new(ManualEvents::new());
-        let pool = DeviceAllocator::with_config_and_events(
+        let pool = events_pool_with(
             TestCore::default(),
             DeviceAllocatorConfig::default()
                 .with_streams(2)
@@ -2881,7 +2669,7 @@ mod tests {
     #[test]
     fn zero_pending_ring_cap_disables_event_parking() {
         let events = Arc::new(ManualEvents::new());
-        let pool = DeviceAllocator::with_config_and_events(
+        let pool = events_pool_with(
             TestCore::default(),
             DeviceAllocatorConfig::default()
                 .with_streams(2)
@@ -2947,7 +2735,7 @@ mod tests {
 
     #[test]
     fn immediate_events_promote_on_the_very_next_owner_alloc() {
-        let pool = DeviceAllocator::with_config_and_events(
+        let pool = events_pool_with(
             TestCore::default(),
             DeviceAllocatorConfig::default().with_streams(2),
             Arc::new(crate::events::ImmediateEvents),

@@ -44,15 +44,14 @@ mod traits;
 mod types;
 
 pub use device::{
-    DeviceAllocator, DeviceAllocatorConfig, DeviceCacheStats, MAX_SHARDS, MAX_STREAMS,
+    DeviceAllocator, DeviceAllocatorBuilder, DeviceAllocatorConfig, DeviceCacheStats, MAX_SHARDS,
+    MAX_STREAMS,
 };
 pub use error::AllocError;
 pub use events::{EventSource, ImmediateEvents, ManualEvents};
 pub use request::{AllocRequest, Allocation};
 pub use stats::{FaultJournalStats, MemStats, StatsDelta};
 pub use traits::AllocatorCore;
-#[allow(deprecated)]
-pub use traits::{share, GpuAllocator, SharedAllocator};
 pub use types::{
     gib, kib, mib, AllocTag, AllocationId, EventId, StreamId, VirtAddr, BYTES_PER_GIB,
     BYTES_PER_KIB, BYTES_PER_MIB,

@@ -1,11 +1,6 @@
 //! The backend allocator trait every memory manager in this workspace
-//! implements ([`AllocatorCore`]), plus the deprecated single-mutex
-//! shared-handle shim ([`SharedAllocator`]) superseded by
+//! implements ([`AllocatorCore`]); concurrent callers wrap it in a
 //! [`DeviceAllocator`](crate::DeviceAllocator).
-
-use std::sync::Arc;
-
-use parking_lot::Mutex;
 
 use crate::error::AllocError;
 use crate::request::{AllocRequest, Allocation};
@@ -316,128 +311,6 @@ impl<A: AllocatorCore + ?Sized> AllocatorCore for Box<A> {
     }
 }
 
-/// Deprecated name of [`AllocatorCore`], kept for one release so downstream
-/// code migrates at its own pace (see the README's "Allocator API" section).
-#[deprecated(
-    since = "0.2.0",
-    note = "renamed to `AllocatorCore`; concurrent callers should wrap it in `DeviceAllocator`"
-)]
-pub use AllocatorCore as GpuAllocator;
-
-/// Deprecated single-mutex shared-handle path: every clone funnels every
-/// call — small or large — through one global mutex, which is exactly the
-/// serialization the sharded [`DeviceAllocator`](crate::DeviceAllocator)
-/// front-end removes.
-///
-/// Kept for one release as a migration shim. The backend name is cached at
-/// construction, so [`AllocatorCore::name`] does not take the lock.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `DeviceAllocator::new` instead; see the README's allocator-API migration table"
-)]
-#[derive(Clone)]
-pub struct SharedAllocator {
-    inner: Arc<Mutex<Box<dyn AllocatorCore + Send>>>,
-    /// Backend name, captured once at construction instead of locking the
-    /// pool on every `name()` call.
-    name: &'static str,
-}
-
-#[allow(deprecated)]
-impl std::fmt::Debug for SharedAllocator {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SharedAllocator")
-            .field("name", &self.name)
-            .finish_non_exhaustive()
-    }
-}
-
-#[allow(deprecated)]
-impl SharedAllocator {
-    /// Wraps an allocator core into the single-mutex shared-handle path.
-    pub fn new<A: AllocatorCore + Send + 'static>(core: A) -> Self {
-        let name = core.name();
-        SharedAllocator {
-            inner: Arc::new(Mutex::new(Box::new(core))),
-            name,
-        }
-    }
-
-    /// Runs `f` with exclusive access to the wrapped core.
-    pub fn with_core<R>(&self, f: impl FnOnce(&mut dyn AllocatorCore) -> R) -> R {
-        f(&mut **self.inner.lock())
-    }
-}
-
-/// Wraps an allocator into the deprecated shared-handle path.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `DeviceAllocator::new` instead; see the README's allocator-API migration table"
-)]
-#[allow(deprecated)]
-pub fn share<A: AllocatorCore + Send + 'static>(alloc: A) -> SharedAllocator {
-    SharedAllocator::new(alloc)
-}
-
-#[allow(deprecated)]
-impl AllocatorCore for SharedAllocator {
-    fn allocate(&mut self, req: AllocRequest) -> Result<Allocation, AllocError> {
-        self.inner.lock().allocate(req)
-    }
-
-    fn deallocate(&mut self, id: AllocationId) -> Result<(), AllocError> {
-        self.inner.lock().deallocate(id)
-    }
-
-    fn alloc_on_stream(
-        &mut self,
-        req: AllocRequest,
-        stream: StreamId,
-    ) -> Result<Allocation, AllocError> {
-        self.inner.lock().alloc_on_stream(req, stream)
-    }
-
-    fn free_on_stream(&mut self, id: AllocationId, stream: StreamId) -> Result<(), AllocError> {
-        self.inner.lock().free_on_stream(id, stream)
-    }
-
-    fn stats(&self) -> MemStats {
-        self.inner.lock().stats()
-    }
-
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn iteration_boundary(&mut self) {
-        self.inner.lock().iteration_boundary()
-    }
-
-    fn process_events(&mut self) -> u64 {
-        self.inner.lock().process_events()
-    }
-
-    fn release_cached(&mut self) -> u64 {
-        self.inner.lock().release_cached()
-    }
-
-    fn compact(&mut self) -> u64 {
-        self.inner.lock().compact()
-    }
-
-    fn fragmentation(&self) -> f64 {
-        self.inner.lock().fragmentation()
-    }
-
-    fn set_stitch_enabled(&mut self, enabled: bool) {
-        self.inner.lock().set_stitch_enabled(enabled)
-    }
-
-    fn fault_journal_stats(&self) -> FaultJournalStats {
-        self.inner.lock().fault_journal_stats()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -572,46 +445,5 @@ mod tests {
         let mut boxed: Box<dyn AllocatorCore + Send> = Box::new(Bump::default());
         exercise(&mut boxed);
         assert_eq!(boxed.name(), "bump");
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shared_handle_still_works_and_caches_its_name() {
-        let shared = share(Bump::default());
-        let mut a = shared.clone();
-        let mut b = shared.clone();
-        let alloc = a.allocate(AllocRequest::new(32)).unwrap();
-        assert_eq!(b.stats().active_bytes, 32, "clones see one allocator");
-        b.deallocate(alloc.id).unwrap();
-        assert_eq!(a.stats().active_bytes, 0);
-        // The name is served from the construction-time cache: even while a
-        // clone holds the pool lock, `name()` answers without blocking.
-        shared.with_core(|_core| {
-            assert_eq!(a.name(), "bump");
-        });
-        assert!(format!("{shared:?}").contains("bump"));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shared_handle_is_usable_across_threads() {
-        let shared = share(Bump::default());
-        let threads: Vec<_> = (0..4)
-            .map(|_| {
-                let mut h = shared.clone();
-                std::thread::spawn(move || {
-                    for _ in 0..50 {
-                        let a = h.allocate(AllocRequest::new(16)).unwrap();
-                        h.deallocate(a.id).unwrap();
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        let s = shared.stats();
-        assert_eq!(s.alloc_count, 200);
-        assert_eq!(s.active_bytes, 0, "no allocation lost or leaked");
     }
 }

@@ -2,7 +2,7 @@
 //! shared-pool small-allocation path over 1/2/4/8 threads, comparing the
 //! sharded `DeviceAllocator` fast path against the retired single-mutex
 //! design (a `DeviceAllocator` with the fast path disabled — every call
-//! funnels through the core mutex, exactly like the old `SharedAllocator`),
+//! funnels through the core mutex, exactly like the old shared handle),
 //! and re-samples the PR 2 `BestFit` probe so the scaling trend stays
 //! monitored. Results are written as machine-readable `BENCH_PR3.json`
 //! (committed to the repo, uploaded as a CI artifact).
@@ -123,7 +123,7 @@ fn render_json(sweep: &[SweepPoint], probe_indexed_ns: f64, alloc_free_ns: f64) 
     json.push_str(
         "  \"notes\": \"small-alloc (8 KiB..1 MiB, one size class per thread) \
          alloc+free cycles through a shared pool; mutex = DeviceAllocator with \
-         the fast path disabled (the retired SharedAllocator design); sharded \
+         the fast path disabled (the retired single-mutex design); sharded \
          = default DeviceAllocator; bestfit_probe re-samples the PR 2 S3 \
          classification on a converged pool\"\n}\n",
     );

@@ -23,7 +23,7 @@
 
 use std::sync::Arc;
 
-use gmlake_alloc_api::{mib, AllocError, AllocRequest, DeviceAllocator, DeviceAllocatorConfig};
+use gmlake_alloc_api::{mib, AllocError, AllocRequest, DeviceAllocator};
 use gmlake_core::{GmLakeAllocator, GmLakeConfig};
 use gmlake_gpu_sim::{CudaDriver, DeviceConfig, FaultOp, FaultPlan};
 use gmlake_runtime::{DeviceId, FaultPolicy, MemoryProfiler, PoolService};
@@ -57,16 +57,14 @@ fn main() {
     let driver = CudaDriver::new(DeviceConfig::small_test().with_backing(false));
     let telemetry = Arc::new(PoolTelemetry::new().with_clock(Arc::new(driver.clone())));
     driver.set_telemetry(Arc::clone(&telemetry));
-    let front = DeviceAllocator::try_build(
-        Box::new(GmLakeAllocator::new(
+    let front = DeviceAllocator::builder()
+        .events(Arc::new(driver.clone()))
+        .telemetry(telemetry)
+        .build(Box::new(GmLakeAllocator::new(
             driver.clone(),
             GmLakeConfig::default().with_frag_limit(mib(2)),
-        )),
-        DeviceAllocatorConfig::default(),
-        Some(Arc::new(driver.clone())),
-        Some(telemetry),
-    )
-    .expect("default front-end config");
+        )))
+        .expect("default front-end config");
     let service = PoolService::with_fault_policy(policy);
     let pool = service
         .register_device(DeviceId(0), front)

@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use gmlake_alloc_api::{gib, AllocatorCore, DeviceAllocator, DeviceAllocatorConfig};
+use gmlake_alloc_api::{gib, AllocatorCore, DeviceAllocator};
 use gmlake_caching::CachingAllocator;
 use gmlake_core::{GmLakeAllocator, GmLakeConfig};
 use gmlake_gpu_sim::{CudaDriver, DeviceConfig, NativeAllocator};
@@ -134,13 +134,11 @@ pub fn run_scaleout_profiled(cfg: &TrainConfig, ranks: u32) -> (ScaleoutReport, 
             driver.set_telemetry(Arc::clone(&telemetry));
             let mut core = GmLakeAllocator::new(driver.clone(), GmLakeConfig::default());
             core.set_telemetry(Arc::clone(&telemetry));
-            let alloc = DeviceAllocator::try_build(
-                Box::new(core),
-                DeviceAllocatorConfig::default(),
-                Some(Arc::new(driver.clone())),
-                Some(telemetry),
-            )
-            .expect("the default front-end config is valid");
+            let alloc = DeviceAllocator::builder()
+                .events(Arc::new(driver.clone()))
+                .telemetry(telemetry)
+                .build(Box::new(core))
+                .expect("the default front-end config is valid");
             let device = DeviceId(rank);
             service
                 .register_device(device, alloc)

@@ -77,7 +77,7 @@ pub fn build_converged_pool(n_blocks: usize) -> GmLakeAllocator {
 
 /// Builds the shared pool of the contention sweep: a caching core on a
 /// zero-cost device. `sharded = false` disables the front-end fast path,
-/// reproducing the retired one-global-mutex `SharedAllocator` behaviour —
+/// reproducing the retired one-global-mutex shared-handle behaviour —
 /// the sweep's baseline.
 pub fn contention_pool(sharded: bool) -> DeviceAllocator {
     let driver = CudaDriver::new(
@@ -90,7 +90,10 @@ pub fn contention_pool(sharded: bool) -> DeviceAllocator {
     } else {
         DeviceAllocatorConfig::default().with_small_threshold(0)
     };
-    DeviceAllocator::with_config(CachingAllocator::new(driver), config)
+    DeviceAllocator::builder()
+        .config(config)
+        .build(Box::new(CachingAllocator::new(driver)))
+        .expect("valid front-end config")
 }
 
 /// Distinct small size per sweep thread (distinct power-of-two classes,
@@ -120,10 +123,10 @@ pub fn stream_pool(streams: usize) -> DeviceAllocator {
             .with_cost(CostModel::zero())
             .with_capacity(gib(4)),
     );
-    DeviceAllocator::with_config(
-        CachingAllocator::new(driver),
-        DeviceAllocatorConfig::default().with_streams(streams),
-    )
+    DeviceAllocator::builder()
+        .config(DeviceAllocatorConfig::default().with_streams(streams))
+        .build(Box::new(CachingAllocator::new(driver)))
+        .expect("valid front-end config")
 }
 
 /// Builds the event-backed variant of [`stream_pool`] (PR 5): the same
@@ -142,11 +145,11 @@ pub fn stream_pool_with_events(streams: usize) -> DeviceAllocator {
             .with_cost(CostModel::zero())
             .with_capacity(gib(4)),
     );
-    DeviceAllocator::with_config_and_events(
-        CachingAllocator::new(driver.clone()),
-        DeviceAllocatorConfig::default().with_streams(streams),
-        std::sync::Arc::new(driver),
-    )
+    DeviceAllocator::builder()
+        .config(DeviceAllocatorConfig::default().with_streams(streams))
+        .events(std::sync::Arc::new(driver.clone()))
+        .build(Box::new(CachingAllocator::new(driver)))
+        .expect("valid front-end config")
 }
 
 /// Builds the telemetry variant of [`stream_pool_with_events`] (PR 6): the
@@ -170,13 +173,12 @@ pub fn stream_pool_with_telemetry(streams: usize, enabled: bool) -> DeviceAlloca
         telemetry.enable();
     }
     driver.set_telemetry(std::sync::Arc::clone(&telemetry));
-    DeviceAllocator::try_build(
-        Box::new(CachingAllocator::new(driver.clone())),
-        DeviceAllocatorConfig::default().with_streams(streams),
-        Some(std::sync::Arc::new(driver)),
-        Some(telemetry),
-    )
-    .expect("default config with a valid stream count")
+    DeviceAllocator::builder()
+        .config(DeviceAllocatorConfig::default().with_streams(streams))
+        .events(std::sync::Arc::new(driver.clone()))
+        .telemetry(telemetry)
+        .build(Box::new(CachingAllocator::new(driver)))
+        .expect("default config with a valid stream count")
 }
 
 // ---------------------------------------------------------------------
@@ -223,13 +225,15 @@ pub fn large_pool(streams: usize, cap: usize) -> DeviceAllocator {
     for id in held {
         lake.deallocate(id).expect("live");
     }
-    DeviceAllocator::with_config_and_events(
-        lake,
-        DeviceAllocatorConfig::default()
-            .with_streams(streams)
-            .with_max_cached_large_per_bank(cap),
-        std::sync::Arc::new(driver),
-    )
+    DeviceAllocator::builder()
+        .config(
+            DeviceAllocatorConfig::default()
+                .with_streams(streams)
+                .with_max_cached_large_per_bank(cap),
+        )
+        .events(std::sync::Arc::new(driver))
+        .build(Box::new(lake))
+        .expect("valid front-end config")
 }
 
 /// Minimal field extractor for the committed `BENCH_PR<n>.json` snapshots

@@ -10,8 +10,8 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use gmlake_alloc_api::{
-    AllocError, AllocRequest, Allocation, AllocationId, AllocatorCore, DeviceAllocator,
-    DeviceAllocatorConfig, MemStats, StreamId,
+    AllocError, AllocRequest, Allocation, AllocationId, AllocatorCore, DeviceAllocator, MemStats,
+    StreamId,
 };
 use gmlake_telemetry::{EventKind, PoolTelemetry};
 
@@ -108,6 +108,16 @@ impl Default for PoolService {
     }
 }
 
+/// The front-end [`PoolService::register`] wraps a core in: the default
+/// configuration and a disabled [`PoolTelemetry`] sink. The core is moved
+/// in already boxed, so every core call stays one virtual call.
+fn default_front_end(core: Box<dyn AllocatorCore + Send>) -> DeviceAllocator {
+    DeviceAllocator::builder()
+        .telemetry(Arc::new(PoolTelemetry::new()))
+        .build(core)
+        .expect("the default configuration is valid")
+}
+
 impl PoolService {
     /// Creates an empty service without a defrag scheduler.
     pub fn new() -> Self {
@@ -167,14 +177,7 @@ impl PoolService {
         device: DeviceId,
         alloc: Box<dyn AllocatorCore + Send>,
     ) -> Result<PoolHandle, RuntimeError> {
-        self.register_device(
-            device,
-            DeviceAllocator::from_boxed_with_telemetry(
-                alloc,
-                DeviceAllocatorConfig::default(),
-                Arc::new(PoolTelemetry::new()),
-            ),
-        )
+        self.register_device(device, default_front_end(alloc))
     }
 
     /// Registers an existing [`DeviceAllocator`] (e.g. one with a custom
@@ -190,35 +193,6 @@ impl PoolService {
         alloc: DeviceAllocator,
     ) -> Result<PoolHandle, RuntimeError> {
         self.insert_entry(device, alloc, None)
-    }
-
-    /// Registers a deprecated [`SharedAllocator`] shim as the pool for
-    /// `device`, preserving the old single-mutex semantics (the front-end
-    /// fast path is disabled, so clones of the shim driven outside the
-    /// service keep seeing every allocation).
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::DuplicateDevice`] if `device` already has a pool.
-    ///
-    /// [`SharedAllocator`]: gmlake_alloc_api::SharedAllocator
-    #[deprecated(
-        since = "0.2.0",
-        note = "wrap the core in a `DeviceAllocator` and use `register_device` instead"
-    )]
-    #[allow(deprecated)]
-    pub fn register_shared(
-        &self,
-        device: DeviceId,
-        alloc: gmlake_alloc_api::SharedAllocator,
-    ) -> Result<PoolHandle, RuntimeError> {
-        self.register_device(
-            device,
-            DeviceAllocator::with_config(
-                alloc,
-                DeviceAllocatorConfig::default().with_small_threshold(0),
-            ),
-        )
     }
 
     /// Like [`PoolService::register`], additionally declaring which
@@ -237,15 +211,7 @@ impl PoolService {
         alloc: Box<dyn AllocatorCore + Send>,
         affinity: u64,
     ) -> Result<PoolHandle, RuntimeError> {
-        self.insert_entry(
-            device,
-            DeviceAllocator::from_boxed_with_telemetry(
-                alloc,
-                DeviceAllocatorConfig::default(),
-                Arc::new(PoolTelemetry::new()),
-            ),
-            Some(affinity),
-        )
+        self.insert_entry(device, default_front_end(alloc), Some(affinity))
     }
 
     fn insert_entry(
@@ -870,7 +836,7 @@ impl AllocatorCore for PoolHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gmlake_alloc_api::mib;
+    use gmlake_alloc_api::{mib, DeviceAllocatorConfig};
     use gmlake_caching::CachingAllocator;
     use gmlake_core::{GmLakeAllocator, GmLakeConfig};
     use gmlake_gpu_sim::{CudaDriver, DeviceConfig};
@@ -926,12 +892,10 @@ mod tests {
     #[test]
     fn preconfigured_device_allocator_can_be_registered() {
         let service = PoolService::new();
-        let front = DeviceAllocator::with_config(
-            CachingAllocator::new(CudaDriver::new(
-                DeviceConfig::small_test().with_backing(false),
-            )),
-            DeviceAllocatorConfig::default().with_shards(4),
-        );
+        let front = DeviceAllocator::builder()
+            .config(DeviceAllocatorConfig::default().with_shards(4))
+            .build(caching_pool())
+            .unwrap();
         let pool = service.register_device(DeviceId(0), front).unwrap();
         let a = pool.allocate(AllocRequest::new(1024)).unwrap();
         pool.deallocate(a.id).unwrap();
@@ -1135,29 +1099,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_shared_allocator_still_registers() {
-        // Migration window: the SharedAllocator shim must keep working at
-        // the service boundary for one release, with its old single-mutex
-        // semantics (no front-end caching that outside clones cannot see).
-        let service = PoolService::new();
-        let shared = gmlake_alloc_api::share(CachingAllocator::new(CudaDriver::new(
-            DeviceConfig::small_test().with_backing(false),
-        )));
-        let mut outside = shared.clone();
-        let pool = service.register_shared(DeviceId(0), shared).unwrap();
-        let a = pool.allocate(AllocRequest::new(1024)).unwrap();
-        assert_eq!(
-            outside.stats().active_bytes,
-            a.size,
-            "outside clone sees the allocation (fast path disabled)"
-        );
-        outside.deallocate(a.id).unwrap();
-        assert_eq!(pool.stats().active_bytes, 0);
-        assert_eq!(pool.name(), "pytorch-caching");
-    }
-
-    #[test]
     fn small_traffic_through_the_handle_rides_the_shards() {
         let service = PoolService::new();
         let pool = service.register(DeviceId(0), caching_pool()).unwrap();
@@ -1175,12 +1116,10 @@ mod tests {
     fn stream_routing_through_the_handle_uses_per_stream_banks() {
         use gmlake_alloc_api::StreamId;
         let service = PoolService::new();
-        let front = DeviceAllocator::with_config(
-            CachingAllocator::new(CudaDriver::new(
-                DeviceConfig::small_test().with_backing(false),
-            )),
-            DeviceAllocatorConfig::default().with_streams(2),
-        );
+        let front = DeviceAllocator::builder()
+            .config(DeviceAllocatorConfig::default().with_streams(2))
+            .build(caching_pool())
+            .unwrap();
         let pool = service.register_device(DeviceId(0), front).unwrap();
         assert_eq!(pool.allocator().cache_stats().streams, 2);
         // Warm the same size class on both streams: two distinct blocks,
@@ -1223,11 +1162,11 @@ mod tests {
         // zero-cost test device completes events at record time).
         let service = PoolService::new();
         let driver = CudaDriver::new(DeviceConfig::small_test().with_backing(false));
-        let front = DeviceAllocator::with_config_and_events(
-            CachingAllocator::new(driver.clone()),
-            DeviceAllocatorConfig::default().with_streams(2),
-            Arc::new(driver.clone()),
-        );
+        let front = DeviceAllocator::builder()
+            .config(DeviceAllocatorConfig::default().with_streams(2))
+            .events(Arc::new(driver.clone()))
+            .build(Box::new(CachingAllocator::new(driver.clone())))
+            .unwrap();
         let pool = service.register_device(DeviceId(0), front).unwrap();
         let a = pool
             .alloc_on_stream(AllocRequest::new(1024), StreamId(1))

@@ -317,13 +317,15 @@ mod tests {
             .map(|rank| {
                 let driver = CudaDriver::new(DeviceConfig::a100_80g());
                 let device = DeviceId(rank);
-                let front = DeviceAllocator::with_config_and_events(
-                    CachingAllocator::new(driver.clone()),
-                    DeviceAllocatorConfig::default()
-                        .with_streams(2)
-                        .with_small_threshold(gmlake_alloc_api::mib(512)),
-                    Arc::new(driver.clone()),
-                );
+                let front = DeviceAllocator::builder()
+                    .config(
+                        DeviceAllocatorConfig::default()
+                            .with_streams(2)
+                            .with_small_threshold(gmlake_alloc_api::mib(512)),
+                    )
+                    .events(Arc::new(driver.clone()))
+                    .build(Box::new(CachingAllocator::new(driver.clone())))
+                    .unwrap();
                 service.register_device(device, front).unwrap();
                 RankSpec::new(device, driver, cfg.clone())
             })

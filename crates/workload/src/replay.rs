@@ -485,13 +485,15 @@ mod tests {
         // Comm/staging tensors run tens-to-hundreds of MiB; raise the
         // fast-path threshold so the side-stream traffic is visible in the
         // stream banks instead of falling through to the core.
-        let mut pool = DeviceAllocator::with_config_and_events(
-            CachingAllocator::new(driver.clone()),
-            DeviceAllocatorConfig::default()
-                .with_streams(2)
-                .with_small_threshold(gmlake_alloc_api::mib(512)),
-            Arc::new(driver.clone()),
-        );
+        let mut pool = DeviceAllocator::builder()
+            .config(
+                DeviceAllocatorConfig::default()
+                    .with_streams(2)
+                    .with_small_threshold(gmlake_alloc_api::mib(512)),
+            )
+            .events(Arc::new(driver.clone()))
+            .build(Box::new(CachingAllocator::new(driver.clone())))
+            .unwrap();
         let report = Replayer::new(driver.clone()).replay(&mut pool, &trace, &cfg);
         assert!(report.outcome.is_completed());
         let side = pool.stream_cache_stats(StreamId(1));

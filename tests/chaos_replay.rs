@@ -283,11 +283,11 @@ fn memmap_fault_inside_optimistic_large_commit_rolls_back() {
         driver.clone(),
         GmLakeConfig::default().with_frag_limit(mib(2)),
     );
-    let pool = DeviceAllocator::with_config_and_events(
-        lake,
-        DeviceAllocatorConfig::default().with_streams(4),
-        std::sync::Arc::new(driver.clone()),
-    );
+    let pool = DeviceAllocator::builder()
+        .config(DeviceAllocatorConfig::default().with_streams(4))
+        .events(std::sync::Arc::new(driver.clone()))
+        .build(Box::new(lake))
+        .unwrap();
     // Prime a 4 + 6 MiB inactive pair *in the core* (flush moves the
     // bank-parked blocks down), so a 10 MiB request classifies S3 and the
     // commit under the core lock is a real stitch.

@@ -87,7 +87,7 @@ impl AllocatorCore for MirrorCore {
     }
 }
 
-/// The single-mutex oracle: the pre-PR 3 `SharedAllocator` shape — every
+/// The single-mutex oracle: the pre-PR 3 shared-handle shape — every
 /// call funnels through one lock, no cache, no streams. `free_on_stream`
 /// falls back to plain `deallocate` via the trait default, which is exactly
 /// the stream-oblivious semantics the front-end must be equivalent to.

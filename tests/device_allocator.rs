@@ -232,12 +232,14 @@ fn oom_retry_flushes_every_streams_cache_with_pinned_byte_count() {
             .with_capacity(mib(300))
             .with_backing(false),
     );
-    let pool = DeviceAllocator::with_config(
-        CachingAllocator::new(driver.clone()),
-        DeviceAllocatorConfig::default()
-            .with_streams(4)
-            .with_small_threshold(mib(16)),
-    );
+    let pool = DeviceAllocator::builder()
+        .config(
+            DeviceAllocatorConfig::default()
+                .with_streams(4)
+                .with_small_threshold(mib(16)),
+        )
+        .build(Box::new(CachingAllocator::new(driver.clone())))
+        .unwrap();
     let warm_all_streams = |pool: &DeviceAllocator| {
         for s in 0..4u32 {
             let a = pool
@@ -280,12 +282,11 @@ fn oom_retry_flushes_every_streams_cache_with_pinned_byte_count() {
 #[test]
 fn stream_config_round_trips_and_zero_streams_errors() {
     let make = |streams| {
-        DeviceAllocator::try_with_config(
-            CachingAllocator::new(CudaDriver::new(
+        DeviceAllocator::builder()
+            .config(DeviceAllocatorConfig::default().with_streams(streams))
+            .build(Box::new(CachingAllocator::new(CudaDriver::new(
                 DeviceConfig::small_test().with_backing(false),
-            )),
-            DeviceAllocatorConfig::default().with_streams(streams),
-        )
+            ))))
     };
     let err = make(0).unwrap_err();
     assert!(matches!(err, AllocError::InvalidConfig(_)), "{err}");
@@ -301,10 +302,10 @@ fn stream_config_round_trips_and_zero_streams_errors() {
 #[test]
 fn cross_thread_cross_stream_free_takes_the_conservative_path() {
     let driver = CudaDriver::new(DeviceConfig::small_test().with_backing(false));
-    let pool = DeviceAllocator::with_config(
-        CachingAllocator::new(driver),
-        DeviceAllocatorConfig::default().with_streams(2),
-    );
+    let pool = DeviceAllocator::builder()
+        .config(DeviceAllocatorConfig::default().with_streams(2))
+        .build(Box::new(CachingAllocator::new(driver)))
+        .unwrap();
     let (tx, rx) = mpsc::channel::<AllocationId>();
     std::thread::scope(|s| {
         let producer = pool.clone();
@@ -352,13 +353,15 @@ fn flush_drains_pending_event_rings_with_pinned_byte_count() {
             .with_backing(false),
     );
     let events = Arc::new(ManualEvents::new());
-    let pool = DeviceAllocator::with_config_and_events(
-        CachingAllocator::new(driver.clone()),
-        DeviceAllocatorConfig::default()
-            .with_streams(4)
-            .with_small_threshold(mib(16)),
-        events.clone(),
-    );
+    let pool = DeviceAllocator::builder()
+        .config(
+            DeviceAllocatorConfig::default()
+                .with_streams(4)
+                .with_small_threshold(mib(16)),
+        )
+        .events(events.clone())
+        .build(Box::new(CachingAllocator::new(driver.clone())))
+        .unwrap();
     // One 16 MiB-class block per stream, every one freed CROSS-stream so it
     // lands in a pending ring, and no event ever completed: 64 MiB of
     // not-yet-reusable cache.
@@ -404,12 +407,14 @@ fn flush_drains_pending_event_rings_with_pinned_byte_count() {
 #[test]
 fn custom_shard_config_round_trips() {
     let driver = CudaDriver::new(DeviceConfig::small_test().with_backing(false));
-    let pool = DeviceAllocator::with_config(
-        CachingAllocator::new(driver),
-        DeviceAllocatorConfig::default()
-            .with_shards(5) // rounded up to 8
-            .with_max_cached_per_class(1),
-    );
+    let pool = DeviceAllocator::builder()
+        .config(
+            DeviceAllocatorConfig::default()
+                .with_shards(5) // rounded up to 8
+                .with_max_cached_per_class(1),
+        )
+        .build(Box::new(CachingAllocator::new(driver)))
+        .unwrap();
     let a = pool.allocate(AllocRequest::new(kib(16))).unwrap();
     let b = pool.allocate(AllocRequest::new(kib(16))).unwrap();
     pool.deallocate(a.id).unwrap();

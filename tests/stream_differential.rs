@@ -83,19 +83,21 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 /// unbounded (no OOM arm).
 fn run_differential(ops: &[Op], capacity: u64) {
     let events = Arc::new(ManualEvents::new());
-    let pool = DeviceAllocator::with_config_and_events(
-        MirrorCore::bounded(capacity),
-        DeviceAllocatorConfig::default()
-            .with_streams(STREAMS as usize)
-            // Small caps: exercise free-list overflow returns AND
-            // pending-ring overflow (the cross-stream fallback, which
-            // synchronizes its event before the core sees the block) on
-            // both the small shards and the large banks.
-            .with_max_cached_per_class(4)
-            .with_max_cached_large_per_bank(2)
-            .with_pending_ring_cap(4),
-        events.clone(),
-    );
+    let pool = DeviceAllocator::builder()
+        .config(
+            DeviceAllocatorConfig::default()
+                .with_streams(STREAMS as usize)
+                // Small caps: exercise free-list overflow returns AND
+                // pending-ring overflow (the cross-stream fallback, which
+                // synchronizes its event before the core sees the block) on
+                // both the small shards and the large banks.
+                .with_max_cached_per_class(4)
+                .with_max_cached_large_per_bank(2)
+                .with_pending_ring_cap(4),
+        )
+        .events(events.clone())
+        .build(Box::new(MirrorCore::bounded(capacity)))
+        .unwrap();
     let oracle = MutexOracle::bounded(capacity);
 
     // (front id, oracle id, allocating stream) per live tensor.

@@ -239,11 +239,11 @@ fn make_pool() -> (DeviceAllocator, CudaDriver, Arc<ManualEvents>) {
     let driver = CudaDriver::new(DeviceConfig::small_test().with_backing(false));
     let events = Arc::new(ManualEvents::new());
     (
-        DeviceAllocator::with_config_and_events(
-            CachingAllocator::new(driver.clone()),
-            DeviceAllocatorConfig::default().with_streams(2),
-            events.clone(),
-        ),
+        DeviceAllocator::builder()
+            .config(DeviceAllocatorConfig::default().with_streams(2))
+            .events(events.clone())
+            .build(Box::new(CachingAllocator::new(driver.clone())))
+            .unwrap(),
         driver,
         events,
     )
