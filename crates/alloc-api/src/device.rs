@@ -1005,9 +1005,17 @@ impl DeviceAllocator {
         &self.inner.shards[first..first + n]
     }
 
-    /// Allocates through the core mutex; on out-of-memory, returns the bank
-    /// caches to the core and retries once (the core's own OOM fallbacks
-    /// cannot reach blocks parked in the front-end).
+    /// Allocates through the core mutex, with the OOM retry of
+    /// [`DeviceAllocator::retry_after_flush`].
+    fn core_allocate(&self, req: AllocRequest) -> Result<Allocation, AllocError> {
+        let first = self.inner.core.lock().allocate(req);
+        self.retry_after_flush(first, |core| core.allocate(req))
+    }
+
+    /// The front-end's one OOM step, shared by every route: when `first`
+    /// failed with out-of-memory, returns every bank and ring to the core
+    /// (the core's own OOM fallback cannot reach blocks parked in the
+    /// front-end) and runs `retry` once behind the plain core lock.
     ///
     /// The retry runs even when this thread's own `flush()` found the banks
     /// empty: a concurrent flush may have drained the banks but not yet
@@ -1015,13 +1023,16 @@ impl DeviceAllocator {
     /// flush's core deallocations by the core lock — is what rescues the
     /// allocation in that window. The extra attempt only costs time on the
     /// already-failing error path.
-    fn core_allocate(&self, req: AllocRequest) -> Result<Allocation, AllocError> {
-        let first = self.inner.core.lock().allocate(req);
+    fn retry_after_flush(
+        &self,
+        first: Result<Allocation, AllocError>,
+        retry: impl FnOnce(&mut (dyn AllocatorCore + Send)) -> Result<Allocation, AllocError>,
+    ) -> Result<Allocation, AllocError> {
         let Err(AllocError::OutOfMemory { .. }) = &first else {
             return first;
         };
         self.flush();
-        self.inner.core.lock().allocate(req)
+        retry(&mut **self.inner.core.lock())
     }
 
     /// Books a block the core just served into `bank`. The core recorded
@@ -1134,15 +1145,7 @@ impl DeviceAllocator {
             }
             std::thread::yield_now();
         };
-        let core_alloc = match first {
-            Err(AllocError::OutOfMemory { .. }) => {
-                // Same rescue as `core_allocate`: hand every front-end
-                // cache back to the core and retry once behind a plain lock.
-                self.flush();
-                self.inner.core.lock().alloc_on_stream(req, stream)?
-            }
-            other => other?,
-        };
+        let core_alloc = self.retry_after_flush(first, |core| core.alloc_on_stream(req, stream))?;
         // A core-served large allocation carries the same `Alloc` event it
         // does when the route is disabled and every large request goes
         // straight through the core mutex.

@@ -98,15 +98,18 @@ pub fn finish(
     eprintln!("wrote {snapshot}");
 }
 
+/// Where `--check` writes a report that carried warnings (relative to the
+/// working directory, under the build directory git ignores).
+pub const CHECK_DIR: &str = "target/bench-check";
+
 /// Like [`finish`], but the check step also reports *warnings*: non-fatal
 /// observations (typically scheduler noise on an oversubscribed runner)
 /// that must survive a discarded stderr. Each warning prints exactly once,
-/// and in `--check` mode a non-empty warning set re-renders the report —
-/// the freshly measured sweep plus a `"warnings"` array — over the
-/// snapshot file in the working directory, so the uploaded CI artifact
-/// records both the measured values and why they were tolerated. The
-/// committed snapshot in git is never touched by `--check`; only the
-/// working-directory copy that CI uploads is.
+/// and in `--check` mode a non-empty warning set renders the report — the
+/// freshly measured sweep plus a `"warnings"` array — into
+/// [`CHECK_DIR`]`/<snapshot>`, so the uploaded CI artifact records both the
+/// measured values and why they were tolerated. `--check` never writes the
+/// committed snapshot.
 ///
 /// `render_json` receives the warnings to embed (empty in snapshot mode —
 /// a committed baseline never starts life with a warning).
@@ -126,9 +129,15 @@ pub fn finish_with_warnings(
         }
         if failures.is_empty() {
             if !warnings.is_empty() {
-                let json = render_json(&warnings);
-                std::fs::write(snapshot, &json).unwrap_or_else(|e| panic!("write {snapshot}: {e}"));
-                eprintln!("recorded {} warning(s) into {snapshot}", warnings.len());
+                let out = std::path::Path::new(CHECK_DIR).join(snapshot);
+                std::fs::create_dir_all(CHECK_DIR)
+                    .and_then(|()| std::fs::write(&out, render_json(&warnings)))
+                    .unwrap_or_else(|e| panic!("write {}: {e}", out.display()));
+                eprintln!(
+                    "recorded {} warning(s) into {}",
+                    warnings.len(),
+                    out.display()
+                );
             }
             println!("perf check passed: {}", pass_summary());
             return;

@@ -1451,35 +1451,49 @@ impl AllocatorCore for GmLakeAllocator {
             return Err(AllocError::ZeroSize);
         }
         self.driver.advance_clock(self.host_op_ns);
-        if req.size < self.config.small_threshold {
-            return self.allocate_small(req);
-        }
-        let result = match self.try_allocate_large(req) {
+        let small = req.size < self.config.small_threshold;
+        let attempt = |this: &mut Self| {
+            if small {
+                this.allocate_small(req)
+            } else {
+                this.try_allocate_large(req)
+            }
+        };
+        let result = match attempt(self) {
+            // S5 fallback on both routes: surrender every cached structure
+            // and retry once. The small pool's own fallback cannot reach
+            // idle pBlocks, so a small request on a device full of them
+            // needs this as much as a large one.
             Err(AllocError::OutOfMemory { .. }) => {
-                // S5 fallback: surrender every cached structure and retry once.
-                let released = self.release_cached_impl();
-                if released == 0 {
-                    self.counters.record(AllocState::Oom);
-                    self.iter_non_exact += 1;
-                    self.stats.oom_count += 1;
-                    return Err(AllocError::OutOfMemory {
+                // Nothing released: fail without a second attempt
+                // (`reserved` and `capacity` are filled in below).
+                let retried = match self.release_cached_impl() {
+                    0 => Err(AllocError::OutOfMemory {
                         requested: req.size,
-                        reserved: self.stats.reserved_bytes,
-                        capacity: self.driver.capacity(),
-                    });
-                }
-                self.try_allocate_large(req).map_err(|e| {
-                    if matches!(e, AllocError::OutOfMemory { .. }) {
+                        reserved: 0,
+                        capacity: 0,
+                    }),
+                    _ => attempt(self),
+                };
+                retried.map_err(|e| match e {
+                    // Terminal OOM: recorded, and reported against the
+                    // whole core's reservation, not the small pool's.
+                    AllocError::OutOfMemory { requested, .. } => {
                         self.counters.record(AllocState::Oom);
                         self.iter_non_exact += 1;
                         self.stats.oom_count += 1;
+                        AllocError::OutOfMemory {
+                            requested,
+                            reserved: self.stats.reserved_bytes,
+                            capacity: self.driver.capacity(),
+                        }
                     }
-                    e
+                    other => other,
                 })
             }
             other => other,
         };
-        if result.is_ok() {
+        if result.is_ok() && !small {
             // StitchFree: trim the sPool now that the new block (if any) is
             // assigned and therefore protected from eviction.
             self.enforce_spool_capacity();

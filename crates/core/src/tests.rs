@@ -1,7 +1,9 @@
 //! Unit tests for the GMLake allocator: every state of Figure 9, the cache
 //! lifecycle, convergence, eviction, OOM semantics and data integrity.
 
-use gmlake_alloc_api::{mib, AllocError, AllocRequest, AllocationId, AllocatorCore};
+use gmlake_alloc_api::{
+    mib, AllocError, AllocRequest, AllocationId, AllocatorCore, DeviceAllocator,
+};
 use gmlake_gpu_sim::{CudaDriver, DeviceConfig};
 
 use crate::{GmLakeAllocator, GmLakeConfig};
@@ -436,6 +438,44 @@ fn oom_retry_path_releases_cache_and_succeeds() {
     let c = l.allocate(AllocRequest::new(mib(20))).unwrap();
     assert_eq!(c.size, mib(20));
     l.deallocate(c.id).unwrap();
+    l.validate().unwrap();
+}
+
+#[test]
+fn small_request_releases_idle_pblocks_before_failing() {
+    // A device full of idle large pBlocks: the small pool's own fallback
+    // cannot release them, so S5 must cover the small route too — on the
+    // bare core and behind the concurrent front-end alike.
+    let dev = DeviceConfig::small_test()
+        .with_capacity(mib(64))
+        .with_backing(false);
+    let mut l = lake_with(dev.clone(), test_config());
+    let big = l.allocate(AllocRequest::new(mib(64))).unwrap();
+    l.deallocate(big.id).unwrap();
+    let a = l.allocate(AllocRequest::new(1024)).unwrap();
+    assert_eq!(l.pblock_count(), 0, "S5 released the idle pBlock");
+    assert_eq!(l.stats().oom_count, 0);
+    l.validate().unwrap();
+
+    let front = DeviceAllocator::new(lake_with(dev, test_config()));
+    let big = front.allocate(AllocRequest::new(mib(64))).unwrap();
+    front.deallocate(big.id).unwrap();
+    let b = front.allocate(AllocRequest::new(1024)).unwrap();
+    front.deallocate(b.id).unwrap();
+
+    // A terminal small OOM is recorded like a large one and reports the
+    // whole core's reservation, not the small pool's.
+    let hold = l.allocate(AllocRequest::new(mib(62))).unwrap();
+    let err = l.allocate(AllocRequest::new(mib(2) - 1)).unwrap_err();
+    let AllocError::OutOfMemory { reserved, .. } = err else {
+        panic!("{err}");
+    };
+    assert_eq!(reserved, mib(64), "62 MiB pBlock + the 2 MiB small segment");
+    assert_eq!(reserved, l.stats().reserved_bytes);
+    assert_eq!(l.stats().oom_count, 1);
+    assert_eq!(l.state_counters().oom, 1);
+    l.deallocate(a.id).unwrap();
+    l.deallocate(hold.id).unwrap();
     l.validate().unwrap();
 }
 

@@ -21,16 +21,21 @@
 //!   [`AllocatorCore`], so trait-generic code (like `gmlake-workload`'s
 //!   `Replayer`) drives a shared pool unmodified.
 //! * [`DefragScheduler`] — evaluates a [`DefragPolicy`] ([`PeriodicPolicy`],
-//!   [`FragThresholdPolicy`], [`OomPressurePolicy`], or your own) at every
-//!   pool's iteration boundaries, on explicit
-//!   [`PoolService::defrag_sweep`] calls, and on the allocation OOM path
-//!   (apply-and-retry-once). Proactive defrag calls the allocators'
+//!   [`FragThresholdPolicy`], or your own) at every pool's iteration
+//!   boundaries and on explicit [`PoolService::defrag_sweep`] calls.
+//!   Proactive defrag calls the allocators'
 //!   [`AllocatorCore::compact`] hook; the nuclear option is
 //!   [`AllocatorCore::release_cached`]. Either way the front-end's shard
 //!   caches *and* per-stream large banks are flushed first, so defrag
 //!   always sees every cached byte.
 //! * [`BackgroundDefragger`] — a sweep thread for deployments with no
 //!   natural iteration boundary.
+//! * Fault recovery ([`FaultPolicy`]) — bounded retry with backoff for
+//!   rolled-back driver faults, a stitch circuit breaker, and one OOM
+//!   rescue: the owner's [`RescueHook`], run once, then one retry. The
+//!   core and the front-end have already released and flushed everything
+//!   the pool owns by then; `docs/fault-model.md` tabulates which layer
+//!   reclaims what.
 //!
 //! # One pool, many threads
 //!
@@ -137,7 +142,7 @@ pub use error::RuntimeError;
 pub use profiler::MemoryProfiler;
 pub use recovery::{FaultPolicy, FaultRecoveryStats, RescueHook};
 pub use scheduler::{
-    DefragAction, DefragPolicy, DefragScheduler, DefragStats, FragThresholdPolicy,
-    OomPressurePolicy, PeriodicPolicy, PoolObservation,
+    DefragAction, DefragPolicy, DefragScheduler, DefragStats, FragThresholdPolicy, PeriodicPolicy,
+    PoolObservation,
 };
 pub use service::{DeviceId, PoolHandle, PoolService, SweepOutcome};

@@ -1,6 +1,6 @@
 //! Fault-recovery policy for the pool service: bounded retries with
-//! backoff for rolled-back driver faults, the staged OOM rescue pipeline,
-//! and the stitch circuit breaker.
+//! backoff for rolled-back driver faults, the OOM rescue hook, and the
+//! stitch circuit breaker.
 //!
 //! The allocator cores below the service are *transactional*: a driver
 //! call that fails mid-operation is unwound and surfaces as
@@ -16,10 +16,13 @@
 //!   for a cooldown measured in allocation attempts, after which stitching
 //!   is re-probed (half-open: one more fault re-opens immediately, one
 //!   success closes fully);
-//! * **out-of-memory** runs a staged rescue pipeline — flush the shard
-//!   caches, drain the pending event rings, compact, run the
-//!   owner-installed tenant [`RescueHook`] (if any), then the cross-pool
-//!   policy rescue — retrying after every stage that reclaimed anything.
+//! * **out-of-memory** runs the owner-installed [`RescueHook`] (if any)
+//!   once, then retries once. Everything the pool itself owns was already
+//!   reclaimed below: the core released its cache and retried, and the
+//!   front-end flushed every bank and ring and retried. The hook is for
+//!   memory the pool cannot reach — idle tenants' working sets, a
+//!   cohabiting pool's cache. `docs/fault-model.md` tabulates which layer
+//!   reclaims what.
 
 /// Tuning knobs for the pool service's fault recovery (one per
 /// [`PoolService`](crate::PoolService), shared by all its pools).
@@ -67,16 +70,17 @@ impl FaultPolicy {
     }
 }
 
-/// A pool-owner-supplied reclamation stage in the staged OOM rescue
-/// pipeline (installed via
+/// A pool-owner-supplied OOM rescue (installed via
 /// [`PoolHandle::set_rescue_hook`](crate::PoolHandle::set_rescue_hook)).
 ///
-/// The service's built-in stages (flush, drain, compact) only see
-/// *memory*; layers above the pool — the serving subsystem's tenant
-/// registry in particular — know which cached bytes belong to *whom* and
-/// can release idle tenants' working sets before an out-of-memory error
-/// reaches an active one. The hook runs as stage 4, after the pool-local
-/// stages and before the cross-pool scheduler rescue.
+/// By the time it runs, the layers below have reclaimed everything the
+/// pool owns: the core released its cache, the front-end flushed every
+/// bank and ring, and both retried. What remains is memory only the owner
+/// can reach. The serving subsystem's tenant registry knows which bytes
+/// belong to *whom* and drops idle tenants' working sets before an
+/// out-of-memory error reaches an active one; pools cohabiting one
+/// physical device can release each other's caches. The hook runs once
+/// per failing allocation, and the allocation is retried once.
 ///
 /// `needed` is the size of the failing request in bytes. Return the
 /// number of bytes the hook released (an estimate is fine — any non-zero
@@ -104,7 +108,7 @@ pub(crate) struct BreakerState {
     pub faults: u64,
     /// Retries issued for faulted allocations.
     pub retries: u64,
-    /// Allocations saved by the staged OOM rescue pipeline.
+    /// Allocations saved by the rescue hook.
     pub rescues: u64,
 }
 
@@ -120,7 +124,8 @@ pub struct FaultRecoveryStats {
     pub breaker_trips: u64,
     /// Whether the breaker is currently open (stitching disabled).
     pub breaker_open: bool,
-    /// Allocations saved by the staged OOM rescue pipeline.
+    /// Allocations saved by the [`RescueHook`]: the retry after the hook
+    /// released memory succeeded.
     pub rescues: u64,
 }
 

@@ -8,15 +8,15 @@
 //! the runtime observes each pool at iteration boundaries (and, optionally,
 //! from a background sweep thread) and fires a defrag pass proactively.
 //!
-//! Three policies cover the spectrum:
+//! Two policies ship:
 //!
 //! * [`PeriodicPolicy`] — every N training iterations, unconditionally;
 //! * [`FragThresholdPolicy`] — when instantaneous fragmentation crosses a
-//!   threshold (with a reserved-bytes floor so empty pools are left alone);
-//! * [`OomPressurePolicy`] — never proactively; only rescues failed
-//!   allocations.
+//!   threshold (with a reserved-bytes floor so empty pools are left alone).
 //!
-//! Custom policies implement [`DefragPolicy`].
+//! Custom policies implement [`DefragPolicy`]. Policies are proactive
+//! only: an out-of-memory failure is handled by the allocation path's own
+//! reclaim steps (see `docs/fault-model.md`), never by a policy.
 
 use std::collections::HashMap;
 
@@ -70,15 +70,6 @@ pub trait DefragPolicy: Send {
     /// background sweeps. Must be idempotent per `(device, iteration)`:
     /// sweeps may observe the same iteration repeatedly.
     fn on_iteration(&mut self, obs: &PoolObservation) -> DefragAction;
-
-    /// Called when an allocation on the pool fails with out-of-memory,
-    /// before the failure is surfaced to the caller. Returning an action
-    /// other than [`DefragAction::None`] makes the handle apply it and
-    /// retry the allocation once.
-    fn on_oom(&mut self, obs: &PoolObservation) -> DefragAction {
-        let _ = obs;
-        DefragAction::ReleaseCached
-    }
 }
 
 /// Fires [`DefragAction::Compact`] every `every` iterations of each device.
@@ -178,26 +169,10 @@ impl DefragPolicy for FragThresholdPolicy {
     }
 }
 
-/// Never defragments proactively; rescues OOM-failing allocations with a
-/// full cache release. This is the PyTorch/GMLake built-in behaviour lifted
-/// to the service level — useful as the control arm in experiments.
-#[derive(Debug, Clone, Default)]
-pub struct OomPressurePolicy;
-
-impl DefragPolicy for OomPressurePolicy {
-    fn name(&self) -> &'static str {
-        "oom-pressure"
-    }
-
-    fn on_iteration(&mut self, _obs: &PoolObservation) -> DefragAction {
-        DefragAction::None
-    }
-}
-
 /// Cumulative counters of scheduler activity.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DefragStats {
-    /// Policy evaluations (iteration boundaries + sweeps + OOM rescues).
+    /// Policy evaluations (iteration boundaries + sweeps).
     pub evaluations: u64,
     /// `Compact` actions applied.
     pub compactions: u64,
@@ -205,8 +180,6 @@ pub struct DefragStats {
     pub releases: u64,
     /// Physical bytes reclaimed by applied actions.
     pub bytes_reclaimed: u64,
-    /// OOM rescues attempted (an action applied on the allocation path).
-    pub oom_rescues: u64,
 }
 
 /// Evaluates a [`DefragPolicy`] over pools and records what it did.
@@ -251,11 +224,6 @@ impl DefragScheduler {
         DefragScheduler::new(FragThresholdPolicy::new(max_frag, min_reserved))
     }
 
-    /// Shorthand for [`OomPressurePolicy`].
-    pub fn oom_pressure() -> Self {
-        DefragScheduler::new(OomPressurePolicy)
-    }
-
     /// The wrapped policy's name.
     pub fn policy_name(&self) -> &'static str {
         self.name
@@ -272,12 +240,6 @@ impl DefragScheduler {
         self.policy.lock().on_iteration(obs)
     }
 
-    /// Asks the policy what to do about an OOM-failing allocation.
-    pub(crate) fn decide_oom(&self, obs: &PoolObservation) -> DefragAction {
-        self.stats.lock().evaluations += 1;
-        self.policy.lock().on_oom(obs)
-    }
-
     /// Records an applied action and the bytes it reclaimed.
     pub(crate) fn record(&self, action: DefragAction, bytes: u64) {
         let mut stats = self.stats.lock();
@@ -287,13 +249,6 @@ impl DefragScheduler {
             DefragAction::ReleaseCached => stats.releases += 1,
         }
         stats.bytes_reclaimed += bytes;
-    }
-
-    /// Records an applied OOM rescue (an action actually taken on the
-    /// allocation path, as opposed to a policy that declined to act).
-    pub(crate) fn record_oom_rescue(&self, action: DefragAction, bytes: u64) {
-        self.stats.lock().oom_rescues += 1;
-        self.record(action, bytes);
     }
 }
 
@@ -419,33 +374,6 @@ mod tests {
     }
 
     #[test]
-    fn declined_oom_rescue_is_not_counted_as_a_rescue() {
-        struct Decline;
-        impl DefragPolicy for Decline {
-            fn name(&self) -> &'static str {
-                "decline"
-            }
-            fn on_iteration(&mut self, _obs: &PoolObservation) -> DefragAction {
-                DefragAction::None
-            }
-            fn on_oom(&mut self, _obs: &PoolObservation) -> DefragAction {
-                DefragAction::None
-            }
-        }
-        let s = DefragScheduler::new(Decline);
-        assert_eq!(s.decide_oom(&obs(0, 1, 0, 1000)), DefragAction::None);
-        let st = s.stats();
-        assert_eq!(st.evaluations, 1);
-        assert_eq!(st.oom_rescues, 0, "no action applied, no rescue counted");
-        // An applied rescue counts once, through record_oom_rescue.
-        s.record_oom_rescue(DefragAction::ReleaseCached, 512);
-        let st = s.stats();
-        assert_eq!(st.oom_rescues, 1);
-        assert_eq!(st.releases, 1);
-        assert_eq!(st.bytes_reclaimed, 512);
-    }
-
-    #[test]
     fn threshold_fires_only_above_threshold_and_floor() {
         let mut p = FragThresholdPolicy::new(0.3, 1000);
         // 50% fragmented and big enough: fire.
@@ -456,13 +384,6 @@ mod tests {
         assert_eq!(p.on_iteration(&obs(0, 3, 400, 800)), DefragAction::None);
         // Empty pool: leave alone.
         assert_eq!(p.on_iteration(&obs(0, 4, 0, 0)), DefragAction::None);
-    }
-
-    #[test]
-    fn oom_pressure_only_acts_on_oom() {
-        let mut p = OomPressurePolicy;
-        assert_eq!(p.on_iteration(&obs(0, 1, 0, 1000)), DefragAction::None);
-        assert_eq!(p.on_oom(&obs(0, 1, 0, 1000)), DefragAction::ReleaseCached);
     }
 
     #[test]
@@ -479,6 +400,5 @@ mod tests {
         assert_eq!(st.compactions, 1);
         assert_eq!(st.releases, 1);
         assert_eq!(st.bytes_reclaimed, 5120);
-        assert_eq!(st.oom_rescues, 0);
     }
 }

@@ -46,14 +46,10 @@ struct PoolEntry {
     iterations: AtomicU64,
     /// Process-unique id of this registration (see [`NEXT_EPOCH`]).
     epoch: u64,
-    /// Physical-device key: pools sharing a physical device should be
-    /// registered with the same affinity so an OOM rescue on one can
-    /// release the others' caches. `None` = the pool's device is its own.
-    affinity: Option<u64>,
     /// Stitch circuit breaker and fault-recovery counters.
     breaker: Mutex<BreakerState>,
-    /// Owner-supplied tenant-level reclamation stage of the OOM rescue
-    /// pipeline (see [`RescueHook`]). `None` until installed.
+    /// Owner-supplied OOM rescue: reclaims memory this pool cannot reach
+    /// on its own (see [`RescueHook`]). `None` until installed.
     rescue_hook: Mutex<Option<Arc<dyn RescueHook>>>,
 }
 
@@ -192,34 +188,6 @@ impl PoolService {
         device: DeviceId,
         alloc: DeviceAllocator,
     ) -> Result<PoolHandle, RuntimeError> {
-        self.insert_entry(device, alloc, None)
-    }
-
-    /// Like [`PoolService::register`], additionally declaring which
-    /// *physical* device the pool lives on. Pools registered with the same
-    /// `affinity` are treated as cohabitants of one device: an OOM-failing
-    /// allocation on one may trigger a defrag action on the others (their
-    /// caches occupy the memory the failing pool needs). Pools registered
-    /// without an affinity are never touched by another pool's rescue.
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::DuplicateDevice`] if `device` already has a pool.
-    pub fn register_with_affinity(
-        &self,
-        device: DeviceId,
-        alloc: Box<dyn AllocatorCore + Send>,
-        affinity: u64,
-    ) -> Result<PoolHandle, RuntimeError> {
-        self.insert_entry(device, default_front_end(alloc), Some(affinity))
-    }
-
-    fn insert_entry(
-        &self,
-        device: DeviceId,
-        alloc: DeviceAllocator,
-        affinity: Option<u64>,
-    ) -> Result<PoolHandle, RuntimeError> {
         let mut pools = self.inner.pools.lock();
         if pools.contains_key(&device) {
             return Err(RuntimeError::DuplicateDevice(device));
@@ -228,7 +196,6 @@ impl PoolService {
             alloc,
             iterations: AtomicU64::new(0),
             epoch: NEXT_EPOCH.fetch_add(1, Ordering::Relaxed),
-            affinity,
             breaker: Mutex::new(BreakerState::default()),
             rescue_hook: Mutex::new(None),
         });
@@ -363,6 +330,11 @@ pub(crate) fn fragmentation_of(stats: &MemStats) -> f64 {
     }
 }
 
+/// The `a` field of a [`EventKind::RescueStage`] record: the rescue hook's
+/// stage number from the earlier staged pipeline, kept so traces recorded
+/// before and after the ladder was collapsed read the same.
+const HOOK_STAGE: u64 = 4;
+
 /// Captures a [`PoolObservation`] of one pool.
 fn observe(device: DeviceId, entry: &PoolEntry) -> PoolObservation {
     let stats = entry.alloc.stats();
@@ -390,9 +362,9 @@ fn observe(device: DeviceId, entry: &PoolEntry) -> PoolObservation {
 ///
 /// * [`PoolHandle::iteration_boundary`] advances the pool's iteration
 ///   counter and lets the policy trigger a proactive defrag pass;
-/// * [`PoolHandle::allocate`] gives the policy a chance to rescue an
-///   out-of-memory failure (apply an action, retry once) before the error
-///   reaches the caller.
+/// * [`PoolHandle::allocate`] runs the owner's [`RescueHook`], if one is
+///   installed, on an out-of-memory failure before the error reaches the
+///   caller.
 #[derive(Debug, Clone)]
 pub struct PoolHandle {
     device: DeviceId,
@@ -425,41 +397,6 @@ impl PoolHandle {
         self.entry.alloc.with_core(f)
     }
 
-    fn observation(&self) -> PoolObservation {
-        observe(self.device, &self.entry)
-    }
-
-    fn scheduler(&self) -> Option<&Arc<DefragScheduler>> {
-        self.service.scheduler.as_ref()
-    }
-
-    /// Applies `action` to this pool and to every pool registered with the
-    /// same physical-device affinity (see
-    /// [`PoolService::register_with_affinity`]): when several pools cohabit
-    /// one device, the memory starving this pool may be cached by a sibling
-    /// that the failing allocator's own fallback cannot touch. Pools on
-    /// other (or undeclared) devices are left alone — flushing their warm
-    /// caches could not relieve this device's pressure. Returns the bytes
-    /// reclaimed across the touched pools.
-    fn rescue_same_device(&self, action: DefragAction) -> u64 {
-        let mut bytes = apply_action(action, &self.entry.alloc);
-        if self.entry.affinity.is_none() {
-            return bytes;
-        }
-        let cohabitants: Vec<Arc<PoolEntry>> = self
-            .service
-            .pools
-            .lock()
-            .values()
-            .filter(|e| !Arc::ptr_eq(e, &self.entry) && e.affinity == self.entry.affinity)
-            .cloned()
-            .collect();
-        for entry in cohabitants {
-            bytes += apply_action(action, &entry.alloc);
-        }
-        bytes
-    }
-
     /// Allocates memory for `req` through the pool's [`DeviceAllocator`] on
     /// the default stream (see [`PoolHandle::alloc_on_stream`]).
     ///
@@ -483,13 +420,13 @@ impl PoolHandle {
     ///   breaker that disables stitching on the pool for a cooldown and
     ///   re-probes it afterwards (the pool degrades to split/native
     ///   allocation meanwhile);
-    /// * out-of-memory — after the front-end's own flush-and-retry, which
-    ///   drains **every** stream's cache — runs the staged rescue
-    ///   pipeline: flush shard caches, drain pending event rings, compact,
-    ///   the owner-installed tenant [`RescueHook`] (if any), then the
-    ///   defrag policy's cross-pool rescue spanning the pools cohabiting
-    ///   this pool's physical device, retrying after every stage that
-    ///   reclaimed anything.
+    /// * out-of-memory reaches this layer only after the core's own
+    ///   release-and-retry and the front-end's flush-and-retry (which
+    ///   drains **every** stream's banks and rings) have both failed. What
+    ///   is left is memory the pool cannot reach: the owner-installed
+    ///   [`RescueHook`], if any, runs once, and the allocation is retried
+    ///   once if it released anything. `docs/fault-model.md` tabulates
+    ///   which layer reclaims what.
     ///
     /// # Errors
     ///
@@ -528,80 +465,36 @@ impl PoolHandle {
         }
     }
 
-    /// The staged OOM rescue pipeline: each stage tries to reclaim memory
-    /// with a progressively wider hammer, and the allocation is retried
-    /// after every stage that actually freed something. Stages 1–3 are
-    /// local to this pool; stage 4 is the owner-installed tenant
-    /// [`RescueHook`] (skipped when none is installed); stage 5 spans the
-    /// pools cohabiting this pool's physical device via the defrag policy
-    /// (see [`PoolHandle::rescue_same_device`]'s affinity rule). No pool
-    /// lock is held between stages. Every stage that runs emits an
-    /// [`EventKind::RescueStage`] trace record when telemetry is enabled.
+    /// The pool's OOM rescue: the owner-installed [`RescueHook`] runs once,
+    /// and the allocation is retried once if the hook released anything.
+    /// Without a hook the original error surfaces untouched. A hook run
+    /// emits one [`EventKind::RescueStage`] trace record when telemetry is
+    /// enabled (`a` = [`HOOK_STAGE`]).
     fn rescue_oom(
         &self,
         req: AllocRequest,
         stream: StreamId,
         original: AllocError,
     ) -> Result<Allocation, AllocError> {
-        let mut last = original;
-        for stage in 1u64..=5 {
-            let bytes = match stage {
-                // Flush every stream's shard cache into the core and
-                // release the core's cached structures.
-                1 => {
-                    self.entry.alloc.flush();
-                    self.entry.alloc.release_cached()
-                }
-                // Drain the pending cross-stream event rings (returns
-                // blocks promoted, not bytes — any progress counts).
-                2 => self.entry.alloc.process_events(),
-                // Proactive compaction: sPool GC + dead-fragment release.
-                3 => self.entry.alloc.compact(),
-                // Tenant-level reclamation by the owner-installed hook.
-                4 => {
-                    let hook = self.entry.rescue_hook.lock().clone();
-                    match hook {
-                        Some(hook) => hook.rescue(req.size),
-                        None => continue,
-                    }
-                }
-                // Cross-pool policy rescue on the cohabiting pools.
-                5 => {
-                    let Some(scheduler) = self.scheduler() else {
-                        break;
-                    };
-                    let scheduler = Arc::clone(scheduler);
-                    let action = scheduler.decide_oom(&self.observation());
-                    if action == DefragAction::None {
-                        break;
-                    }
-                    let bytes = self.rescue_same_device(action);
-                    scheduler.record_oom_rescue(action, bytes);
-                    bytes
-                }
-                _ => unreachable!(),
-            };
-            if bytes == 0 {
-                self.emit(EventKind::RescueStage, 0, stage, 0);
-                continue;
+        let Some(hook) = self.entry.rescue_hook.lock().clone() else {
+            return Err(original);
+        };
+        let bytes = hook.rescue(req.size);
+        let result = match bytes {
+            0 => Err(original),
+            _ => self.entry.alloc.alloc_on_stream(req, stream),
+        };
+        let saved = result.is_ok() as u64;
+        self.emit(EventKind::RescueStage, bytes, HOOK_STAGE, saved);
+        match &result {
+            Ok(_) => {
+                self.note_alloc_success();
+                self.entry.breaker.lock().rescues += 1;
             }
-            match self.entry.alloc.alloc_on_stream(req, stream) {
-                Ok(a) => {
-                    self.emit(EventKind::RescueStage, bytes, stage, 1);
-                    self.note_alloc_success();
-                    self.entry.breaker.lock().rescues += 1;
-                    return Ok(a);
-                }
-                Err(e) => {
-                    self.emit(EventKind::RescueStage, bytes, stage, 0);
-                    if matches!(e, AllocError::DriverFault { .. }) {
-                        self.note_fault();
-                    }
-                    last = e;
-                }
-            }
+            Err(AllocError::DriverFault { .. }) => self.note_fault(),
+            Err(_) => {}
         }
-        Err(last)
+        result
     }
 
     /// Records a pool trace event when telemetry is attached and enabled.
@@ -656,8 +549,7 @@ impl PoolHandle {
         self.entry.breaker.lock().consecutive = 0;
     }
 
-    /// Installs `hook` as the pool's tenant-level OOM rescue stage
-    /// (stage 4 of the pipeline documented on
+    /// Installs `hook` as the pool's OOM rescue (see
     /// [`PoolHandle::alloc_on_stream`]), replacing any previous hook.
     /// Every handle to the pool shares the installed hook.
     pub fn set_rescue_hook(&self, hook: Arc<dyn RescueHook>) {
@@ -671,7 +563,7 @@ impl PoolHandle {
 
     /// Snapshot of this pool's fault-recovery counters: faults survived,
     /// retries issued, breaker trips and state, allocations saved by the
-    /// staged rescue pipeline.
+    /// rescue hook.
     pub fn fault_stats(&self) -> FaultRecoveryStats {
         let b = self.entry.breaker.lock();
         FaultRecoveryStats {
@@ -732,10 +624,9 @@ impl PoolHandle {
                 );
             }
         }
-        let Some(scheduler) = self.scheduler() else {
+        let Some(scheduler) = &self.service.scheduler else {
             return;
         };
-        let scheduler = Arc::clone(scheduler);
         let stats = self.entry.alloc.stats();
         let obs = PoolObservation {
             device: self.device,
@@ -955,56 +846,112 @@ mod tests {
         assert_eq!(driver.phys_in_use(), 0);
     }
 
-    #[test]
-    fn oom_rescue_frees_sibling_pool_cache_and_retries() {
-        // Two pools sharing ONE 256 MiB device (as two frameworks sharing a
-        // GPU would). The sibling pool hoards 160 MiB of idle cache; the
-        // failing pool's own internal OOM fallback cannot touch it — only
-        // the service-level rescue can.
-        let service = PoolService::with_scheduler(DefragScheduler::oom_pressure());
+    /// A [`RescueHook`] that releases a sibling pool's idle cache — memory
+    /// the failing pool's own core and front-end cannot reach — and counts
+    /// its runs.
+    #[derive(Debug)]
+    struct FlushSibling(PoolHandle, AtomicU64);
+
+    impl FlushSibling {
+        fn new(sibling: &PoolHandle) -> Arc<Self> {
+            Arc::new(FlushSibling(sibling.clone(), AtomicU64::new(0)))
+        }
+
+        fn runs(&self) -> u64 {
+            self.1.load(Ordering::Relaxed)
+        }
+    }
+
+    impl RescueHook for FlushSibling {
+        fn rescue(&self, _needed: u64) -> u64 {
+            self.1.fetch_add(1, Ordering::Relaxed);
+            self.0.release_cached()
+        }
+    }
+
+    fn gmlake_core(driver: CudaDriver) -> Box<dyn AllocatorCore + Send> {
+        Box::new(GmLakeAllocator::new(driver, GmLakeConfig::default()))
+    }
+
+    fn caching_core(driver: CudaDriver) -> Box<dyn AllocatorCore + Send> {
+        Box::new(CachingAllocator::new(driver))
+    }
+
+    /// Two pools on ONE 256 MiB device (as two frameworks sharing a GPU
+    /// would): a caching-allocator hoarder that parks 160 MiB of idle
+    /// cache, and a pool over `core`. Returns `(hoarder, pool)`.
+    fn hoarder_and_pool(
+        core: fn(CudaDriver) -> Box<dyn AllocatorCore + Send>,
+    ) -> (PoolHandle, PoolHandle) {
+        let service = PoolService::new();
         let driver = CudaDriver::new(DeviceConfig::small_test().with_backing(false));
         let hoarder = service
-            .register_with_affinity(
-                DeviceId(0),
-                Box::new(CachingAllocator::new(driver.clone())),
-                0,
-            )
+            .register(DeviceId(0), Box::new(CachingAllocator::new(driver.clone())))
             .unwrap();
-        let pool = service
-            .register_with_affinity(
-                DeviceId(1),
-                Box::new(GmLakeAllocator::new(
-                    driver.clone(),
-                    GmLakeConfig::default(),
-                )),
-                0,
-            )
-            .unwrap();
+        let pool = service.register(DeviceId(1), core(driver.clone())).unwrap();
+        hoard(&hoarder);
+        assert!(driver.phys_in_use() >= mib(160), "sibling cache retained");
+        (hoarder, pool)
+    }
+
+    /// Allocates and frees 4 × 40 MiB on `pool`, leaving it as idle cache.
+    fn hoard(pool: &PoolHandle) {
         let ids: Vec<_> = (0..4)
-            .map(|_| hoarder.allocate(AllocRequest::new(mib(40))).unwrap().id)
+            .map(|_| pool.allocate(AllocRequest::new(mib(40))).unwrap().id)
             .collect();
         for id in ids {
-            hoarder.deallocate(id).unwrap();
+            pool.deallocate(id).unwrap();
         }
-        assert!(driver.phys_in_use() >= mib(160), "sibling cache retained");
-        // 200 MiB cannot coexist with the sibling's 160 MiB of cache on a
-        // 256 MiB device; the OOM-pressure policy must rescue it.
+    }
+
+    #[test]
+    fn oom_rescue_frees_sibling_pool_cache_and_retries() {
+        // 200 MiB cannot coexist with the sibling's 160 MiB of cache; only
+        // the installed hook can reach that cache.
+        let (hoarder, pool) = hoarder_and_pool(gmlake_core);
+        let hook = FlushSibling::new(&hoarder);
+        pool.set_rescue_hook(hook.clone());
         let big = pool.allocate(AllocRequest::new(mib(200))).unwrap();
         assert_eq!(big.size, mib(200));
-        let sched = service.scheduler().unwrap().stats();
-        assert_eq!(sched.oom_rescues, 1);
-        assert_eq!(sched.releases, 1);
-        assert!(sched.bytes_reclaimed >= mib(160));
+        assert_eq!(hook.runs(), 1);
         assert_eq!(hoarder.stats().reserved_bytes, 0, "sibling cache released");
+        assert_eq!(pool.fault_stats().rescues, 1, "the hook saved it");
         pool.deallocate(big.id).unwrap();
+        pool.release_cached();
+        // Without the hook the same pressure surfaces as OOM again.
+        assert!(
+            pool.clear_rescue_hook().is_some(),
+            "installed hook handed back"
+        );
+        hoard(&hoarder);
+        let err = pool.allocate(AllocRequest::new(mib(200))).unwrap_err();
+        assert!(matches!(err, AllocError::OutOfMemory { .. }));
+        assert_eq!(hook.runs(), 1, "a cleared hook never runs");
+    }
+
+    #[test]
+    fn oom_rescue_covers_the_stream_alloc_path() {
+        // Same sibling hoarder, but the failing allocation arrives via
+        // alloc_on_stream: the hook must run on that path too.
+        use gmlake_alloc_api::StreamId;
+        let (hoarder, pool) = hoarder_and_pool(caching_core);
+        let hook = FlushSibling::new(&hoarder);
+        pool.set_rescue_hook(hook.clone());
+        let big = pool
+            .alloc_on_stream(AllocRequest::new(mib(200)), StreamId(1))
+            .unwrap();
+        assert_eq!(big.size, mib(200));
+        assert_eq!(hook.runs(), 1);
+        assert_eq!(pool.fault_stats().rescues, 1);
+        pool.free_on_stream(big.id, StreamId(1)).unwrap();
     }
 
     #[test]
     fn oom_rescue_leaves_other_devices_caches_alone() {
-        // The hoarder sits on a DIFFERENT physical device (its own driver,
-        // no shared affinity): flushing its warm cache could not relieve
-        // the failing pool's pressure, so the rescue must not touch it.
-        let service = PoolService::with_scheduler(DefragScheduler::oom_pressure());
+        // No hook is installed: nothing above the failing pool reclaims on
+        // OOM, so the warm cache of a pool on another device (its own
+        // driver) survives — under a defrag scheduler too.
+        let service = PoolService::with_scheduler(DefragScheduler::periodic(1));
         let other_driver = CudaDriver::new(DeviceConfig::small_test().with_backing(false));
         let hoarder = service
             .register(
@@ -1021,18 +968,146 @@ mod tests {
         assert!(matches!(err, AllocError::OutOfMemory { .. }));
         assert!(
             hoarder.stats().reserved_bytes >= mib(40),
-            "unrelated device's cache survived the rescue"
+            "unrelated device's cache survived the OOM"
         );
     }
 
     #[test]
     fn oom_still_surfaces_when_rescue_cannot_help() {
-        let service = PoolService::with_scheduler(DefragScheduler::oom_pressure());
+        let service = PoolService::new();
         let pool = service.register(DeviceId(0), caching_pool()).unwrap();
         let hold = pool.allocate(AllocRequest::new(mib(200))).unwrap();
         let err = pool.allocate(AllocRequest::new(mib(200))).unwrap_err();
         assert!(matches!(err, AllocError::OutOfMemory { .. }));
         pool.deallocate(hold.id).unwrap();
+    }
+
+    /// What the layers above a core asked of it.
+    #[derive(Debug, Default)]
+    struct CoreCalls {
+        allocs: AtomicU64,
+        releases: AtomicU64,
+        compacts: AtomicU64,
+    }
+
+    impl CoreCalls {
+        /// `(allocation attempts, release_cached, compact)` so far.
+        fn get(&self) -> (u64, u64, u64) {
+            (
+                self.allocs.load(Ordering::Relaxed),
+                self.releases.load(Ordering::Relaxed),
+                self.compacts.load(Ordering::Relaxed),
+            )
+        }
+    }
+
+    /// Forwards to `inner`, counting calls into `calls`.
+    struct Counting {
+        inner: Box<dyn AllocatorCore + Send>,
+        calls: Arc<CoreCalls>,
+    }
+
+    impl AllocatorCore for Counting {
+        fn allocate(&mut self, req: AllocRequest) -> Result<Allocation, AllocError> {
+            self.calls.allocs.fetch_add(1, Ordering::Relaxed);
+            self.inner.allocate(req)
+        }
+
+        fn deallocate(&mut self, id: AllocationId) -> Result<(), AllocError> {
+            self.inner.deallocate(id)
+        }
+
+        fn stats(&self) -> MemStats {
+            self.inner.stats()
+        }
+
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+
+        fn release_cached(&mut self) -> u64 {
+            self.calls.releases.fetch_add(1, Ordering::Relaxed);
+            self.inner.release_cached()
+        }
+
+        fn compact(&mut self) -> u64 {
+            self.calls.compacts.fetch_add(1, Ordering::Relaxed);
+            self.inner.compact()
+        }
+    }
+
+    /// A pool over a counting `core` of a 64 MiB device, on `service`.
+    fn counted_pool(
+        service: &PoolService,
+        core: fn(CudaDriver) -> Box<dyn AllocatorCore + Send>,
+    ) -> (PoolHandle, Arc<CoreCalls>, CudaDriver) {
+        let driver = CudaDriver::new(
+            DeviceConfig::small_test()
+                .with_capacity(mib(64))
+                .with_backing(false),
+        );
+        let calls = Arc::new(CoreCalls::default());
+        let counting = Counting {
+            inner: core(driver.clone()),
+            calls: Arc::clone(&calls),
+        };
+        let pool = service.register(DeviceId(0), Box::new(counting)).unwrap();
+        (pool, calls, driver)
+    }
+
+    #[test]
+    fn terminal_oom_runs_each_reclaim_step_once() {
+        // 40 MiB held on a 64 MiB device, 40 MiB more asked: nothing can be
+        // reclaimed anywhere. The core's own release-and-retry runs inside
+        // each core attempt; the front-end owns the one extra attempt after
+        // its flush. Nothing above them releases or compacts again, with
+        // or without a defrag scheduler.
+        let services: [fn() -> PoolService; 3] = [
+            PoolService::new,
+            || PoolService::with_scheduler(DefragScheduler::periodic(1)),
+            || PoolService::with_scheduler(DefragScheduler::frag_threshold(0.0, 0)),
+        ];
+        for service in services {
+            for (core, driver_calls) in [(gmlake_core as fn(_) -> _, 4), (caching_core, 0)] {
+                let (pool, calls, driver) = counted_pool(&service(), core);
+                let hold = pool.allocate(AllocRequest::new(mib(40))).unwrap();
+                let (attempts, _, _) = calls.get();
+                let before = driver.stats().total_calls();
+                let err = pool.allocate(AllocRequest::new(mib(40))).unwrap_err();
+                assert!(matches!(err, AllocError::OutOfMemory { .. }), "{err}");
+                let (a, releases, compacts) = calls.get();
+                assert_eq!((a - attempts, releases, compacts), (2, 0, 0));
+                assert_eq!(driver.stats().total_calls() - before, driver_calls);
+                pool.deallocate(hold.id).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn rescue_hook_runs_once_then_one_more_attempt() {
+        // A 40 MiB sibling cache shares the 64 MiB device: the terminal OOM
+        // (two core attempts) runs the hook once, and the one retry after
+        // it is served by the core's third attempt.
+        let service = PoolService::new();
+        let (pool, calls, driver) = counted_pool(&service, gmlake_core);
+        let sibling = service
+            .register(DeviceId(1), Box::new(CachingAllocator::new(driver)))
+            .unwrap();
+        let a = sibling.allocate(AllocRequest::new(mib(40))).unwrap();
+        sibling.deallocate(a.id).unwrap();
+        let hook = FlushSibling::new(&sibling);
+        pool.set_rescue_hook(hook.clone());
+        let big = pool.allocate(AllocRequest::new(mib(40))).unwrap();
+        assert_eq!(hook.runs(), 1);
+        assert_eq!(calls.get(), (3, 0, 0));
+        assert_eq!(pool.fault_stats().rescues, 1);
+        // With the sibling empty the hook releases nothing: it still runs
+        // only once, and no retry follows.
+        let err = pool.allocate(AllocRequest::new(mib(40))).unwrap_err();
+        assert!(matches!(err, AllocError::OutOfMemory { .. }), "{err}");
+        assert_eq!(hook.runs(), 2);
+        assert_eq!(calls.get(), (5, 0, 0));
+        pool.deallocate(big.id).unwrap();
     }
 
     #[test]
@@ -1193,95 +1268,6 @@ mod tests {
         let s = pool.stats();
         assert_eq!((s.alloc_count, s.free_count, s.active_bytes), (2, 2, 0));
         assert_eq!(driver.outstanding_events(), 0, "no event leaked");
-    }
-
-    #[test]
-    fn oom_rescue_covers_the_stream_alloc_path() {
-        // Same sibling-hoarder setup as the default-stream rescue test, but
-        // the failing allocation arrives via alloc_on_stream: the policy
-        // rescue must kick in on that path too.
-        use gmlake_alloc_api::StreamId;
-        let service = PoolService::with_scheduler(DefragScheduler::oom_pressure());
-        let driver = CudaDriver::new(DeviceConfig::small_test().with_backing(false));
-        let hoarder = service
-            .register_with_affinity(
-                DeviceId(0),
-                Box::new(CachingAllocator::new(driver.clone())),
-                0,
-            )
-            .unwrap();
-        let pool = service
-            .register_with_affinity(
-                DeviceId(1),
-                Box::new(CachingAllocator::new(driver.clone())),
-                0,
-            )
-            .unwrap();
-        let ids: Vec<_> = (0..4)
-            .map(|_| hoarder.allocate(AllocRequest::new(mib(40))).unwrap().id)
-            .collect();
-        for id in ids {
-            hoarder.deallocate(id).unwrap();
-        }
-        assert!(driver.phys_in_use() >= mib(160), "sibling cache retained");
-        let big = pool
-            .alloc_on_stream(AllocRequest::new(mib(200)), StreamId(1))
-            .unwrap();
-        assert_eq!(big.size, mib(200));
-        assert_eq!(service.scheduler().unwrap().stats().oom_rescues, 1);
-        pool.free_on_stream(big.id, StreamId(1)).unwrap();
-    }
-
-    /// A [`RescueHook`] that releases a sibling pool's idle cache — memory
-    /// the failing pool's own flush/drain/compact stages cannot reach.
-    #[derive(Debug)]
-    struct FlushSibling(PoolHandle);
-
-    impl RescueHook for FlushSibling {
-        fn rescue(&self, _needed: u64) -> u64 {
-            self.0.release_cached()
-        }
-    }
-
-    #[test]
-    fn rescue_hook_runs_as_stage_four_and_saves_the_allocation() {
-        // No scheduler and no affinity: stages 1–3 find nothing (the
-        // failing pool is empty) and stage 5 cannot run, so only the
-        // installed hook can save the 200 MiB request from the hoarder's
-        // 160 MiB of idle cache on the shared 256 MiB device.
-        let service = PoolService::new();
-        let driver = CudaDriver::new(DeviceConfig::small_test().with_backing(false));
-        let hoarder = service
-            .register(DeviceId(0), Box::new(CachingAllocator::new(driver.clone())))
-            .unwrap();
-        let pool = service
-            .register(DeviceId(1), Box::new(CachingAllocator::new(driver.clone())))
-            .unwrap();
-        let ids: Vec<_> = (0..4)
-            .map(|_| hoarder.allocate(AllocRequest::new(mib(40))).unwrap().id)
-            .collect();
-        for id in ids {
-            hoarder.deallocate(id).unwrap();
-        }
-        assert!(driver.phys_in_use() >= mib(160), "sibling cache retained");
-        pool.set_rescue_hook(Arc::new(FlushSibling(hoarder.clone())));
-        let big = pool.allocate(AllocRequest::new(mib(200))).unwrap();
-        assert_eq!(big.size, mib(200));
-        assert_eq!(hoarder.stats().reserved_bytes, 0, "hook flushed sibling");
-        assert_eq!(pool.fault_stats().rescues, 1, "rescue pipeline saved it");
-        pool.deallocate(big.id).unwrap();
-        pool.release_cached();
-        // Without the hook the same pressure surfaces as OOM again.
-        let hook = pool.clear_rescue_hook();
-        assert!(hook.is_some(), "installed hook handed back");
-        let refill: Vec<_> = (0..4)
-            .map(|_| hoarder.allocate(AllocRequest::new(mib(40))).unwrap().id)
-            .collect();
-        for id in refill {
-            hoarder.deallocate(id).unwrap();
-        }
-        let err = pool.allocate(AllocRequest::new(mib(200))).unwrap_err();
-        assert!(matches!(err, AllocError::OutOfMemory { .. }));
     }
 
     #[test]

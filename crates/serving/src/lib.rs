@@ -15,7 +15,7 @@
 //! * [`AdmissionPolicy`] — arrivals commit quota against
 //!   `capacity × overcommit`; over the ceiling they are rejected, queued
 //!   with a bounded wait, or admitted by shedding idle tenants;
-//! * tenant-aware OOM rescue — the service installs a stage-4
+//! * tenant-aware OOM rescue — the service installs a
 //!   [`RescueHook`](gmlake_runtime::RescueHook) that drops *idle*
 //!   tenants' working sets (oldest-idle first) before an active tenant
 //!   can see a device-level OOM;

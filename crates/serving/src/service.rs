@@ -34,7 +34,7 @@ pub struct ServingConfig {
     /// What happens to arrivals past the ceiling.
     pub policy: AdmissionPolicy,
     /// Steps without allocation activity after which a tenant counts as
-    /// idle — eligible for the rescue stage and the shed policy (clamped
+    /// idle — eligible for the rescue hook and the shed policy (clamped
     /// to at least 1 so a tenant mid-allocation is never idle).
     pub idle_after_steps: u64,
     /// Logical GPU streams to spread tenants across round-robin. Should
@@ -117,7 +117,7 @@ pub struct StepOutcome {
 /// Cumulative rescue/eviction counters of one service.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServingStats {
-    /// Idle tenants whose working sets the rescue stage dropped.
+    /// Idle tenants whose working sets the rescue hook dropped.
     pub tenants_evicted: u64,
     /// Bytes those evictions released.
     pub bytes_evicted: u64,
@@ -140,7 +140,7 @@ struct ServingInner {
     evictions: Mutex<ServingStats>,
 }
 
-/// The tenant-aware stage-4 [`RescueHook`]: weak so the pool (which holds
+/// The tenant-aware [`RescueHook`]: weak so the pool (which holds
 /// the hook) never keeps the service alive, and never cyclic.
 #[derive(Debug)]
 struct TenantRescue(Weak<ServingInner>);
@@ -167,7 +167,7 @@ impl RescueHook for TenantRescue {
 ///   `capacity × overcommit`; past the ceiling they are rejected, queued
 ///   (bounded wait), or admitted by shedding idle tenants
 ///   ([`AdmissionPolicy`]);
-/// * **rescue** — the service installs itself as the pool's stage-4
+/// * **rescue** — the service installs itself as the pool's
 ///   [`RescueHook`]: a real OOM first drops *idle* tenants' working sets
 ///   (oldest-idle first) before the failure can reach an active tenant;
 /// * **defrag** — a step-cadence [`DefragManager`](crate::DefragConfig)
@@ -202,7 +202,7 @@ pub struct ServingService {
 
 impl ServingService {
     /// Builds a serving front-end over `pool` and installs its tenant
-    /// rescue hook as the pool's stage-4 OOM stage (replacing any
+    /// rescue hook as the pool's OOM [`RescueHook`] (replacing any
     /// previous hook).
     pub fn new(pool: PoolHandle, cfg: ServingConfig) -> Self {
         let inner = Arc::new(ServingInner {
@@ -308,7 +308,7 @@ impl ServingService {
     ///
     /// [`AllocError::UnknownAllocation`] when `id` is not live for
     /// `tenant` (never allocated, double-freed, or dropped by the rescue
-    /// stage).
+    /// hook).
     pub fn free(&self, tenant: TenantId, id: AllocationId) -> Result<(), AllocError> {
         let (_, stream) = self
             .inner
@@ -493,11 +493,12 @@ impl ServingInner {
         }
     }
 
-    /// The stage-4 rescue: drops idle tenants' working sets (oldest-idle
+    /// The rescue hook: drops idle tenants' working sets (oldest-idle
     /// first, active tenants untouched) until `needed` bytes are credited
-    /// back, then drains the pending rings so the retried allocation can
-    /// actually reach the freed blocks. Unlike the shed policy this keeps
-    /// the tenants registered — their quota commitment survives, only
+    /// back. The freed blocks park in the front-end's banks and rings; the
+    /// pool's retry reaches them, because the front-end's OOM step flushes
+    /// every bank and ring into the core. Unlike the shed policy this
+    /// keeps the tenants registered — their quota commitment survives, only
     /// their (rebuildable) working set is gone.
     fn flush_idle(&self, needed: u64) -> u64 {
         let now = self.step.load(Ordering::Relaxed);
@@ -529,9 +530,6 @@ impl ServingInner {
             drop(ev);
             self.emit(EventKind::TenantEvict, released, tenant.0, dropped);
             reclaimed += released;
-        }
-        if reclaimed > 0 {
-            self.pool.process_events();
         }
         reclaimed
     }
@@ -732,7 +730,7 @@ mod tests {
         // Two tenants whose quotas fit, but whose *working sets* cannot
         // coexist on the 256 MiB device: the idle one holds 160 MiB live;
         // the active one then needs 200 MiB. Only the tenant-aware
-        // stage-4 rescue can save it — and it must pick the idle tenant.
+        // rescue hook can save it — and it must pick the idle tenant.
         let (serving, _) = serving_over(
             ServingConfig::new(mib(256))
                 .with_overcommit(2.0)

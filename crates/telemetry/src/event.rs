@@ -42,9 +42,9 @@ pub enum EventKind {
     /// The driver's fault-injection layer fired. `a` = faulted-op index
     /// (`FaultOp::index`), `b` = cumulative injected-fault count.
     FaultInjected,
-    /// One stage of the runtime's staged OOM-rescue pipeline ran.
-    /// `bytes` = bytes released by the stage, `a` = stage index
-    /// (1 flush, 2 drain, 3 compact, 4 tenant rescue hook, 5 cross-pool),
+    /// A pool's OOM `RescueHook` ran on a terminal out-of-memory.
+    /// `bytes` = bytes the hook released, `a` = 4 (the hook's number in
+    /// the earlier staged pipeline, kept for trace compatibility),
     /// `b` = 1 when the subsequent retry succeeded.
     RescueStage,
     /// The stitch circuit breaker changed state. `a` = 1 opened (stitching

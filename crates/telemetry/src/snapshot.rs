@@ -53,7 +53,7 @@ pub struct FaultSnapshot {
     pub breaker_trips: u64,
     /// Whether the breaker was open (stitching disabled) at dump time.
     pub breaker_open: bool,
-    /// Staged OOM-rescue invocations.
+    /// Allocations saved by the pool's OOM rescue hook.
     pub rescues: u64,
     /// Driver sequences that failed mid-way and were unwound.
     pub journal_failed_ops: u64,
